@@ -1,0 +1,61 @@
+"""Golden output pins: refactors and speedups must keep every report byte-identical.
+
+The repro hashes are read from README's table, so README stays the single
+source of truth; the catalog hashes pin ``check --format json --seed 42
+--trials 200`` for each cataloged configuration.
+"""
+
+import hashlib
+import os
+import re
+
+import pytest
+
+from trunclat.cli import main
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_README_ROW = re.compile(r"^\|\s*`([a-z0-9-]+)`\s*\|.*\|\s*`([0-9a-f]{16})`\s*\|$")
+
+
+def _readme_repro_hashes() -> dict[str, str]:
+    with open(os.path.join(REPO, "README.md"), encoding="utf-8") as handle:
+        rows = (_README_ROW.match(line.strip()) for line in handle)
+        return {m.group(1): m.group(2) for m in rows if m}
+
+
+README_HASHES = _readme_repro_hashes()
+
+CHECK_HASHES = {
+    "sparse_seq": "6b7db136609157c4",
+    "lex_plane": "690a3e74b884c8cc",
+    "identity_line": "41f8021ada537cd3",
+    "finite_pointwise:3": "488b06470681ef6f",
+}
+
+
+def _sha16(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def test_readme_lists_six_repros():
+    assert sorted(README_HASHES) == [
+        "band-decomposition",
+        "c00-ruc",
+        "identity-trunc-tau3",
+        "lex-trunc-archimedean",
+        "thm33-sup",
+        "unitization-not-ruc",
+    ]
+
+
+@pytest.mark.parametrize("repro_id", sorted(README_HASHES))
+def test_repro_output_matches_readme_hash(repro_id, capsys):
+    assert main(["repro", repro_id]) == 0
+    assert _sha16(capsys.readouterr().out) == README_HASHES[repro_id]
+
+
+@pytest.mark.parametrize("space", sorted(CHECK_HASHES))
+def test_check_json_report_hash(space, capsys):
+    argv = ["check", "--space", space, "--format", "json", "--seed", "42", "--trials", "200"]
+    assert main(argv) == 0
+    assert _sha16(capsys.readouterr().out) == CHECK_HASHES[space]
