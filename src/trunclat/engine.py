@@ -383,14 +383,19 @@ def uniform_cauchy_prefix(
     lo: int,
     hi: int,
 ) -> bool:
-    """Exact check of ``|seq(n) - seq(m)| <= eps * u`` for all ``lo <= n, m <= hi``."""
+    """Exact check of ``|seq(n) - seq(m)| <= eps * u`` for all ``lo <= n, m <= hi``.
+
+    ``seq`` is called once per index of the window; the pairs are compared in
+    the order ``(lo, lo+1), (lo, lo+2), ..., (hi-1, hi)``.
+    """
     eps = Fraction(eps)
     if eps <= 0 or not is_positive(ctx, u) or lo > hi:
         raise PreconditionViolated("need eps > 0, u >= 0 and lo <= hi")
     bound = eps * u
-    for n in range(lo, hi + 1):
-        for m in range(n + 1, hi + 1):
-            if not leq_u(ctx, abs_u(ctx, seq(n) - seq(m)), bound):
+    values = [seq(n) for n in range(lo, hi + 1)]
+    for i, x in enumerate(values):
+        for y in values[i + 1:]:
+            if not leq_u(ctx, abs_u(ctx, x - y), bound):
                 return False
     return True
 
@@ -982,7 +987,7 @@ def _law_thm11_ideal(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
     for i in range(n):
         a = gen.element()
         if i % 2 == 0:
-            clamped = join(meet(gen.element(), abs(a)), scale(-1, abs(a)))
+            clamped = join(meet(gen.element(), abs(a)), -abs(a))
             pairs.append((a, uctx.embed(clamped)))
         else:
             pairs.append((a, gen.unitized()))

@@ -17,6 +17,7 @@ The sign decomposition follows the lattice convention: ``pos(a) = a v 0`` and
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -25,7 +26,6 @@ from .errors import DescriptorError, EmptySet, PreconditionViolated, SpaceMismat
 from .rational import coerce_rational, format_rational, parse_rational
 
 _ZERO = Fraction(0)
-_MINUS_ONE = Fraction(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -73,10 +73,12 @@ class Element:
     """A space-tagged lattice element.
 
     The payload shape depends on the space: a tuple of rationals for
-    ``FinitePointwise``, a sorted tuple of ``(index, value)`` pairs with no
-    zero values for ``SparseSeq``, a rational pair for ``LexPlane``, and a
-    single rational for ``IdentityLine``.  Use the constructors below rather
-    than instantiating directly.
+    ``FinitePointwise``, a tuple of ``(index, value)`` pairs for ``SparseSeq``,
+    a rational pair for ``LexPlane``, and a single rational for
+    ``IdentityLine``.  A ``SparseSeq`` payload keeps its indices sorted and
+    strictly increasing and holds no zero value; the sparse primitives merge
+    payloads in one ordered pass and rely on this.  Use the constructors below
+    rather than instantiating directly.
     """
 
     space: Space
@@ -89,13 +91,20 @@ class Element:
         return sub(self, other)
 
     def __neg__(self) -> "Element":
-        return scale(_MINUS_ONE, self)
+        match self.space:
+            case FinitePointwise() | LexPlane():
+                return Element(self.space, tuple(-x for x in self.payload))
+            case SparseSeq():
+                return Element(self.space, tuple((k, -v) for k, v in self.payload))
+            case IdentityLine():
+                return Element(self.space, -self.payload)
+        raise TypeError(f"unknown space {self.space!r}")
 
     def __rmul__(self, c) -> "Element":
         return scale(_coerce(c), self)
 
     def __abs__(self) -> "Element":
-        return join(self, scale(_MINUS_ONE, self))
+        return join(self, -self)
 
     def __le__(self, other: "Element") -> bool:
         return leq(self, other)
@@ -178,15 +187,79 @@ def _same_space(a: Element, b: Element) -> None:
         raise SpaceMismatch(f"{a.space!r} vs {b.space!r}")
 
 
-def _sparse_merge(pa, pb, fn) -> tuple:
-    da = dict(pa)
-    db = dict(pb)
+def _sparse_merge(pa, pb, both, only_a, only_b) -> tuple:
+    """Combine two sparse payloads in one ordered pass, dropping zero results.
+
+    ``both`` maps the two values at a shared index; ``only_a`` and ``only_b``
+    map a value whose index is in one support only (the other side is zero).
+    """
     out = []
-    for k in sorted(set(da) | set(db)):
-        v = fn(da.get(k, _ZERO), db.get(k, _ZERO))
-        if v != 0:
-            out.append((k, v))
+    append = out.append
+    i = j = 0
+    na, nb = len(pa), len(pb)
+    while i < na and j < nb:
+        ka, va = pa[i]
+        kb, vb = pb[j]
+        if ka == kb:
+            k, v = ka, both(va, vb)
+            i += 1
+            j += 1
+        elif ka < kb:
+            k, v = ka, only_a(va)
+            i += 1
+        else:
+            k, v = kb, only_b(vb)
+            j += 1
+        if v:
+            append((k, v))
+    for k, va in pa[i:]:
+        v = only_a(va)
+        if v:
+            append((k, v))
+    for k, vb in pb[j:]:
+        v = only_b(vb)
+        if v:
+            append((k, v))
     return tuple(out)
+
+
+def _keep(v: Fraction) -> Fraction:
+    return v
+
+
+def _pos_value(v: Fraction) -> Fraction:
+    return v if v > 0 else _ZERO
+
+
+def _neg_value(v: Fraction) -> Fraction:
+    return v if v < 0 else _ZERO
+
+
+def _diff(x: Fraction, y: Fraction) -> Fraction:
+    # equal values cancel without building a Fraction
+    return _ZERO if x == y else x - y
+
+
+def _sparse_leq(pa, pb) -> bool:
+    i = j = 0
+    na, nb = len(pa), len(pb)
+    while i < na and j < nb:
+        ka, va = pa[i]
+        kb, vb = pb[j]
+        if ka == kb:
+            if va > vb:
+                return False
+            i += 1
+            j += 1
+        elif ka < kb:
+            if va > 0:
+                return False
+            i += 1
+        else:
+            if vb < 0:
+                return False
+            j += 1
+    return all(v <= 0 for _, v in pa[i:]) and all(v >= 0 for _, v in pb[j:])
 
 
 def _lex_leq(pa, pb) -> bool:
@@ -199,14 +272,22 @@ def add(a: Element, b: Element) -> Element:
         case FinitePointwise() | LexPlane():
             return Element(a.space, tuple(x + y for x, y in zip(a.payload, b.payload)))
         case SparseSeq():
-            return Element(a.space, _sparse_merge(a.payload, b.payload, lambda x, y: x + y))
+            return Element(a.space, _sparse_merge(a.payload, b.payload, operator.add, _keep, _keep))
         case IdentityLine():
             return Element(a.space, a.payload + b.payload)
     raise TypeError(f"unknown space {a.space!r}")
 
 
 def sub(a: Element, b: Element) -> Element:
-    return add(a, scale(_MINUS_ONE, b))
+    _same_space(a, b)
+    match a.space:
+        case FinitePointwise() | LexPlane():
+            return Element(a.space, tuple(x - y for x, y in zip(a.payload, b.payload)))
+        case SparseSeq():
+            return Element(a.space, _sparse_merge(a.payload, b.payload, _diff, _keep, operator.neg))
+        case IdentityLine():
+            return Element(a.space, a.payload - b.payload)
+    raise TypeError(f"unknown space {a.space!r}")
 
 
 def scale(c, a: Element) -> Element:
@@ -229,9 +310,7 @@ def leq(a: Element, b: Element) -> bool:
         case FinitePointwise():
             return all(x <= y for x, y in zip(a.payload, b.payload))
         case SparseSeq():
-            da = dict(a.payload)
-            db = dict(b.payload)
-            return all(da.get(k, _ZERO) <= db.get(k, _ZERO) for k in set(da) | set(db))
+            return _sparse_leq(a.payload, b.payload)
         case LexPlane():
             return _lex_leq(a.payload, b.payload)
         case IdentityLine():
@@ -245,7 +324,7 @@ def join(a: Element, b: Element) -> Element:
         case FinitePointwise():
             return Element(a.space, tuple(max(x, y) for x, y in zip(a.payload, b.payload)))
         case SparseSeq():
-            return Element(a.space, _sparse_merge(a.payload, b.payload, max))
+            return Element(a.space, _sparse_merge(a.payload, b.payload, max, _pos_value, _pos_value))
         case LexPlane():
             # The lex order is total: the join is the larger pair, not the
             # componentwise maximum.
@@ -261,7 +340,7 @@ def meet(a: Element, b: Element) -> Element:
         case FinitePointwise():
             return Element(a.space, tuple(min(x, y) for x, y in zip(a.payload, b.payload)))
         case SparseSeq():
-            return Element(a.space, _sparse_merge(a.payload, b.payload, min))
+            return Element(a.space, _sparse_merge(a.payload, b.payload, min, _neg_value, _neg_value))
         case LexPlane():
             return b if _lex_leq(b.payload, a.payload) else a
         case IdentityLine():
@@ -276,7 +355,7 @@ def pos(a: Element) -> Element:
 
 def neg(a: Element) -> Element:
     """Negative part ``(-a) v 0``; always >= 0, with ``a = pos(a) - neg(a)``."""
-    return join(scale(_MINUS_ONE, a), zero(a.space))
+    return join(-a, zero(a.space))
 
 
 def sup_finite(elements: Iterable[Element]) -> Element:
@@ -328,7 +407,7 @@ def decompose_chain(
         if not leq(z, x) or not leq(x, cap):
             raise PreconditionViolated(f"chain element {i} is not within [0, |u|+|v|]")
     _check_increasing(items, "chain")
-    minus_au = scale(_MINUS_ONE, au)
+    minus_au = -au
     us = tuple(meet(join(x, minus_au), au) for x in items)
     vs = tuple(sub(x, ux) for x, ux in zip(items, us))
     return us, vs

@@ -261,7 +261,7 @@ def orthogonal_complement_witness(
     zero_u = ctx.zero
     if ctx.trunc.unital:
         u = ctx.trunc.unit
-        w = UnitizedElement(scale(-1, u), Fraction(1))
+        w = UnitizedElement(-u, Fraction(1))
         checked = 0
         for x in e_samples:
             target = ctx.embed(abs(x))

@@ -6,6 +6,10 @@ point "at infinity".  Positivity, order, absolute value, join and meet are
 computed pointwise on that function, with no reference to the cone test or
 the absolute-value formula under test, and the result is re-encoded as a
 pair.  This is the second route for every cross-check in the test suite.
+
+The module also keeps the reference sparse kernel: a dict lookup of every
+index in either support, against which the ordered-merge primitives of
+``trunclat.spaces`` are checked.
 """
 
 from fractions import Fraction
@@ -55,3 +59,21 @@ def o_meet(a: UnitizedElement, b: UnitizedElement) -> UnitizedElement:
     lam = min(a.lam, b.lam)
     values = {k: min(value_at(a, k), value_at(b, k)) for k in _indices(a, b)}
     return _from_values(values, lam)
+
+
+def ref_sparse_merge(pa, pb, fn) -> tuple:
+    """Apply ``fn`` at every index of either payload, zero standing in off a support."""
+    da = dict(pa)
+    db = dict(pb)
+    out = []
+    for k in sorted(set(da) | set(db)):
+        v = fn(da.get(k, Fraction(0)), db.get(k, Fraction(0)))
+        if v != 0:
+            out.append((k, v))
+    return tuple(out)
+
+
+def ref_sparse_leq(pa, pb) -> bool:
+    da = dict(pa)
+    db = dict(pb)
+    return all(da.get(k, Fraction(0)) <= db.get(k, Fraction(0)) for k in set(da) | set(db))

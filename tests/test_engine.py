@@ -48,6 +48,7 @@ from trunclat import (
     unitize,
     zero,
 )
+from trunclat import engine
 from trunclat.engine import SymbolicDecision, Witness, NoWitnessUpTo
 
 CATALOG = catalog()
@@ -155,6 +156,54 @@ def test_uniform_cauchy_prefix_examples():
     assert not uniform_cauchy_prefix(SPARSE, runaway, SPARSE.one, Fraction(1), 1, 3)
     with pytest.raises(PreconditionViolated):
         uniform_cauchy_prefix(SPARSE, constant, SPARSE.one, Fraction(0), 1, 2)
+
+
+def test_uniform_cauchy_prefix_evaluates_each_index_once():
+    calls = []
+
+    def seq(n):
+        calls.append(n)
+        return SPARSE.embed(harmonic_prefix(n))
+
+    assert uniform_cauchy_prefix(SPARSE, seq, SPARSE.one, Fraction(1, 10), 10, 30)
+    assert calls == list(range(10, 31))
+
+
+def test_uniform_cauchy_prefix_stops_at_the_planted_pair(monkeypatch):
+    # seq(n) = e_n, except seq(5) = e_5 - e_3: only |seq(3) - seq(5)| = 2e_3 + e_5
+    # exceeds 1, and (3, 5) is the ninth pair in the order (1, 2), (1, 3), ...
+    def seq(n):
+        return SPARSE.embed(sparse({n: 1, 3: -1} if n == 5 else {n: 1}))
+
+    compared = []
+
+    def recording_leq_u(ctx, a, b):
+        compared.append(a)
+        return leq_u(ctx, a, b)
+
+    monkeypatch.setattr(engine, "leq_u", recording_leq_u)
+    assert uniform_cauchy_prefix(SPARSE, seq, SPARSE.one, Fraction(1), 1, 4)
+    assert len(compared) == 6
+    compared.clear()
+    assert not uniform_cauchy_prefix(SPARSE, seq, SPARSE.one, Fraction(1), 1, 5)
+    assert len(compared) == 9
+    assert compared[-1] == SPARSE.embed(sparse({3: 2, 5: 1}))
+
+
+def test_uniform_cauchy_prefix_preconditions():
+    def seq(n):
+        return SPARSE.embed(harmonic_prefix(n))
+
+    one = SPARSE.one
+    for eps in (Fraction(0), Fraction(-1, 2)):
+        with pytest.raises(PreconditionViolated):
+            uniform_cauchy_prefix(SPARSE, seq, one, eps, 1, 2)
+    with pytest.raises(PreconditionViolated):
+        uniform_cauchy_prefix(SPARSE, seq, one, Fraction(1), 3, 2)
+    with pytest.raises(PreconditionViolated):
+        uniform_cauchy_prefix(SPARSE, seq, -one, Fraction(1), 1, 2)
+    with pytest.raises(PreconditionViolated):
+        uniform_cauchy_prefix(SPARSE, seq, SPARSE.embed(sparse({1: -1})), Fraction(1), 1, 2)
 
 
 def test_repro_example43_passes():

@@ -1,8 +1,10 @@
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import ref_sparse_leq, ref_sparse_merge
 from trunclat import (
     EmptySet,
     FinitePointwise,
@@ -25,8 +27,11 @@ from trunclat import (
     neg,
     pos,
     space_from_json,
+    add,
+    scale,
     space_to_json,
     sparse,
+    sub,
     sup_finite,
     zero,
 )
@@ -180,6 +185,54 @@ def test_decompose_chain_postconditions_sampled():
                 if i:
                     assert leq(us[i - 1], us[i])
                     assert leq(vs[i - 1], vs[i])
+
+
+def test_sub_is_add_of_negated_scale():
+    for gen in gens(seed=29):
+        for _ in range(200):
+            a, b = gen.element(), gen.element()
+            assert sub(a, b) == add(a, scale(-1, b))
+            assert sub(a, a) == zero(gen.space)
+            assert -b == scale(-1, b)
+
+
+# -- sparse kernel against the dict-based reference ----------------------------
+
+_values = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
+_entries = st.dictionaries(st.integers(min_value=1, max_value=12), _values, max_size=6)
+
+
+@st.composite
+def sparse_pairs(draw):
+    """Two sparse elements, steered into the cases a merge can get wrong."""
+    a, b = draw(_entries), draw(_entries)
+    shape = draw(st.sampled_from(("overlap", "equal", "disjoint", "empty")))
+    if shape == "overlap":  # shared indices with equal values cancel in a - b
+        shared = draw(_entries)
+        a, b = {**a, **shared}, {**b, **shared}
+    elif shape == "equal":  # a - b cancels at every index
+        b = dict(a)
+    elif shape == "disjoint":  # interleaved supports, no index in common
+        a = {2 * k: v for k, v in a.items()}
+        b = {2 * k - 1: v for k, v in b.items()}
+    else:
+        a, b = draw(st.sampled_from(((a, {}), ({}, b), ({}, {}))))
+    return sparse(a), sparse(b)
+
+
+@settings(max_examples=400, derandomize=True)
+@given(sparse_pairs())
+def test_sparse_kernel_matches_reference(pair):
+    a, b = pair
+    pa, pb = a.payload, b.payload
+    assert add(a, b).payload == ref_sparse_merge(pa, pb, operator.add)
+    assert sub(a, b).payload == ref_sparse_merge(pa, pb, operator.sub)
+    assert join(a, b).payload == ref_sparse_merge(pa, pb, max)
+    assert meet(a, b).payload == ref_sparse_merge(pa, pb, min)
+    assert leq(a, b) == ref_sparse_leq(pa, pb)
+    assert leq(b, a) == ref_sparse_leq(pb, pa)
+    assert (-a).payload == ref_sparse_merge(pa, (), lambda x, _: -x)
+    assert abs(a).payload == ref_sparse_merge(pa, (), lambda x, _: abs(x))
 
 
 # -- wire format -------------------------------------------------------------
