@@ -176,8 +176,13 @@ def _lex(source: str) -> list[_Token]:
                 i += 1
             if i < n and source[i] == "/" and i + 1 < n and source[i + 1].isdigit():
                 i += 1
+                den_start = i
                 while i < n and source[i].isdigit():
                     i += 1
+                if int(source[den_start:i]) == 0:
+                    raise ParseError(
+                        f"zero denominator in rational literal {source[start:i]!r}", start
+                    )
             tokens.append(_Token("NUM", source[start:i], start))
             continue
         if c.isalpha():

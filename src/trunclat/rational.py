@@ -14,11 +14,19 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"p/q"`` or a bare integer string.  Decimal notation is rejected."""
+    """Parse ``"p/q"`` or a bare integer string.
+
+    Decimal notation, non-strings and a zero denominator raise ``ValueError``.
+    """
+    if not isinstance(text, str):
+        raise ValueError(f"expected a 'p/q' string, got {type(text).__name__} {text!r}")
     stripped = text.strip()
     if not _RATIONAL_RE.match(stripped):
         raise ValueError(f"not a rational literal: {text!r} (use 'p/q' or an integer)")
-    return Fraction(stripped)
+    try:
+        return Fraction(stripped)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rational literal {text!r}") from None
 
 
 def format_rational(value: Fraction) -> str:

@@ -32,6 +32,20 @@ def test_eval_bad_binding(capsys):
     assert run_cli("eval", "x", "--bind", "noequals") == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "x", "--bind", 'x={"1":1}'],
+        ["eval", "x", "--bind", 'x={"1":"1/0"}'],
+        ["eval", "2/0 * x", "--bind", 'x={"1":"1/1"}'],
+    ],
+)
+def test_eval_malformed_rational_exits_two(argv, capsys):
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_check_sparse_exits_zero(capsys):
     assert run_cli("check", "--space", "sparse_seq", "--trunc", "meet_with_one",
                    "--seed", "42", "--trials", "50") == 0

@@ -77,6 +77,9 @@ def test_parse_errors_carry_offsets():
         parse("x y")
     with pytest.raises(ParseError):
         parse("")
+    with pytest.raises(ParseError) as info:
+        parse("x + 2/0 * y")
+    assert info.value.offset == 4
 
 
 def test_parse_assertion_relations():

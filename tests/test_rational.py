@@ -19,6 +19,12 @@ def test_parse_rejects_non_rationals(bad):
         parse_rational(bad)
 
 
+@pytest.mark.parametrize("bad", [1, None, ["1/2"], "1/0", "-3/00"])
+def test_parse_rejects_non_strings_and_zero_denominators(bad):
+    with pytest.raises(ValueError):
+        parse_rational(bad)
+
+
 def test_format_is_always_p_over_q():
     assert format_rational(Fraction(2)) == "2/1"
     assert format_rational(Fraction(-1, 3)) == "-1/3"
