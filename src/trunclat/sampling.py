@@ -26,7 +26,6 @@ from .spaces import (
     pos,
     scale,
     sparse,
-    zero,
 )
 from .truncation import truncate
 from .unitization import UnitizationCtx, UnitizedElement, abs_u
@@ -105,26 +104,6 @@ class SampleGen:
                 )
             case IdentityLine():
                 return Element(self.space, self.rational(nonneg=True))
-        raise TypeError(f"unknown space {self.space!r}")
-
-    def positive_nonzero(self) -> Element:
-        z = zero(self.space)
-        for _ in range(8):
-            x = self.positive()
-            if x != z:
-                return x
-        return add(self.positive(), self._unit_like())
-
-    def _unit_like(self) -> Element:
-        match self.space:
-            case FinitePointwise(dim):
-                return Element(self.space, (Fraction(1),) * dim)
-            case SparseSeq():
-                return sparse({1: 1})
-            case LexPlane():
-                return Element(self.space, (Fraction(0), Fraction(1)))
-            case IdentityLine():
-                return Element(self.space, Fraction(1))
         raise TypeError(f"unknown space {self.space!r}")
 
     def pair(self) -> tuple[Element, Element]:
