@@ -31,7 +31,7 @@ from .engine import (
     archimedean_check,
     band,
     band_component,
-    band_component_oracle,
+    band_component_join,
     catalog,
     check_thm33_sup,
     default_certified_fixtures,
@@ -397,7 +397,7 @@ def _repro_band_decomposition(out) -> bool:
         coords = gen.index_subset(dim)
         b = band(space, coords)
         x = gen.positive()
-        if band_component(space, b, x) == band_component_oracle(space, b, x):
+        if band_component(space, b, x) == band_component_join(space, b, x):
             matched += 1
     out(f"band components matching the corner-join oracle: {matched}/{total}")
 

@@ -16,7 +16,9 @@ Rational literals are ``p/q`` or unsigned integers; there is no unary minus
 (write ``0 - x``), and a negative literal therefore does not re-parse.  The
 bare token ``1`` denotes the adjoined unit of a unitization; any other
 scalar literal evaluates to that multiple of the unit there, while in a plain
-space context only ``0`` (the zero element) is meaningful.
+space context only ``0`` (the zero element) is meaningful.  An expression may
+nest at most ``MAX_DEPTH`` levels deep, each bracket, scalar prefix and chained
+binary operator counting one; deeper input is a ``ParseError``.
 
 Assertion files carry one ``lhs REL rhs`` line each (``<=``, ``==``, ``>=``,
 or the disjointness relation ``_|_``), ``#`` comments, and an optional
@@ -30,7 +32,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import (
     DescriptorError,
@@ -51,10 +53,9 @@ from .spaces import (
     pos,
     scale,
     space_from_json,
-    space_to_json,
     zero,
 )
-from .truncation import TruncationSpec, truncate, truncation_from_json, truncation_to_json
+from .truncation import TruncationSpec, truncate, truncation_from_json
 from .unitization import (
     UnitizationCtx,
     UnitizedElement,
@@ -232,11 +233,18 @@ def _lex(source: str) -> list[_Token]:
 
 _FUNCTIONS = {"pos": Pos, "neg": Neg, "tr": Trunc}
 
+# Bracket levels, scalar prefixes and operator chains all deepen the parse or
+# the term, and parsing, evaluation and rendering recurse once per level; past
+# this depth the input is refused, so the recursion stays well inside Python's
+# stack limit wherever the parser is called from.
+MAX_DEPTH = 100
+
 
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     @property
     def current(self) -> _Token:
@@ -259,55 +267,75 @@ class _Parser:
             )
         return self.advance()
 
+    def descend(self) -> None:
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError("expression nested too deeply", self.current.offset)
+
+    def parse_nested(self, parse: Callable[[], Term]) -> Term:
+        self.descend()
+        term = parse()
+        self.depth -= 1
+        return term
+
     def parse_expr(self) -> Term:
         return self.parse_sum()
 
     def parse_sum(self) -> Term:
+        outer = self.depth
         term = self.parse_prod()
         while self.current.kind in ("PLUS", "MINUS"):
             op = self.advance()
+            self.descend()
             right = self.parse_prod()
             term = Add(term, right) if op.kind == "PLUS" else Sub(term, right)
+        self.depth = outer
         return term
 
     def parse_prod(self) -> Term:
         if self.current.kind == "NUM" and self.peek().kind == "STAR":
             scalar = Fraction(self.advance().text)
             self.advance()  # STAR
-            return Scale(scalar, self.parse_prod())
+            return Scale(scalar, self.parse_nested(self.parse_prod))
         return self.parse_joinmeet()
 
     def parse_joinmeet(self) -> Term:
+        outer = self.depth
         term = self.parse_meets()
         while self.current.kind == "JOIN":
             self.advance()
+            self.descend()
             term = Join(term, self.parse_meets())
+        self.depth = outer
         return term
 
     def parse_meets(self) -> Term:
+        outer = self.depth
         term = self.parse_unary()
         while self.current.kind == "MEET":
             self.advance()
+            self.descend()
             term = Meet(term, self.parse_unary())
+        self.depth = outer
         return term
 
     def parse_unary(self) -> Term:
         token = self.current
         if token.kind == "BAR":
             self.advance()
-            inner = self.parse_expr()
+            inner = self.parse_nested(self.parse_expr)
             self.expect("BAR", frozenset({"|"}))
             return Abs(inner)
         if token.kind == "LPAREN":
             self.advance()
-            inner = self.parse_expr()
+            inner = self.parse_nested(self.parse_expr)
             self.expect("RPAREN", frozenset({")"}))
             return inner
         if token.kind == "VAR":
             if token.text in _FUNCTIONS and self.peek().kind == "LPAREN":
                 self.advance()
                 self.advance()  # LPAREN
-                inner = self.parse_expr()
+                inner = self.parse_nested(self.parse_expr)
                 self.expect("RPAREN", frozenset({")"}))
                 return _FUNCTIONS[token.text](inner)
             self.advance()
@@ -572,14 +600,6 @@ def eval_context_from_json(obj) -> EvalContext:
     space = space_from_json(obj["space"])
     trunc = truncation_from_json(space, obj["trunc"])
     return EvalContext(space, trunc, bool(obj.get("unitize", False)))
-
-
-def eval_context_to_json(ctx: EvalContext) -> dict:
-    return {
-        "space": space_to_json(ctx.space),
-        "trunc": truncation_to_json(ctx.trunc),
-        "unitize": ctx.unitized,
-    }
 
 
 def load_assertion_text(text: str) -> AssertionFile:

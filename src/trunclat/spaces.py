@@ -18,6 +18,7 @@ The sign decomposition follows the lattice convention: ``pos(a) = a v 0`` and
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -39,8 +40,9 @@ class FinitePointwise:
     dim: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.dim, int) or self.dim < 1:
-            raise ValueError(f"dimension must be an integer >= 1, got {self.dim!r}")
+        # a dimension past sys.maxsize cannot index a tuple: refuse it here, not deep in an op
+        if not isinstance(self.dim, int) or not 1 <= self.dim <= sys.maxsize:
+            raise ValueError(f"dimension must be an integer in 1..{sys.maxsize}, got {self.dim!r}")
 
 
 @dataclass(frozen=True)
@@ -457,10 +459,10 @@ def space_from_json(obj) -> Space:
         raise DescriptorError(f"space descriptor must be an object with a 'space' key: {obj!r}")
     name = obj["space"]
     if name == "finite_pointwise":
-        dim = obj.get("dim")
-        if not isinstance(dim, int) or dim < 1:
-            raise DescriptorError("finite_pointwise needs an integer 'dim' >= 1")
-        return FinitePointwise(dim)
+        try:
+            return FinitePointwise(obj.get("dim"))
+        except ValueError as exc:
+            raise DescriptorError(f"finite_pointwise 'dim': {exc}") from exc
     if name == "sparse_seq":
         return SparseSeq()
     if name == "lex_plane":

@@ -9,12 +9,14 @@ pair.  This is the second route for every cross-check in the test suite.
 
 The module also keeps the reference sparse kernel: a dict lookup of every
 index in either support, against which the ordered-merge primitives of
-``trunclat.spaces`` are checked.
+``trunclat.spaces`` are checked; and the brute-force band component, a join
+over all ``2^|B|`` corners, against which ``band_component`` and its
+linear-time second route ``band_component_join`` are checked.
 """
 
 from fractions import Fraction
 
-from trunclat import UnitizedElement, coeff, sparse, support
+from trunclat import NegativeInput, UnitizedElement, coeff, fp, leq, sparse, sup_finite, support, zero
 
 
 def _indices(*ues):
@@ -77,3 +79,20 @@ def ref_sparse_leq(pa, pb) -> bool:
     da = dict(pa)
     db = dict(pb)
     return all(da.get(k, Fraction(0)) <= db.get(k, Fraction(0)) for k in set(da) | set(db))
+
+
+def band_component_oracle(space, b, x):
+    """Brute force for dimensions up to 4: the join over every corner of ``B+ ∩ [0, x]``.
+
+    A corner keeps ``x`` on a subset of the band's coordinates and is 0 elsewhere.
+    """
+    if space.dim > 4:
+        raise ValueError("the corner fold is exponential: dimensions up to 4 only")
+    if not leq(zero(space), x):
+        raise NegativeInput("band components are defined for positive elements")
+    coords = sorted(b.coords)
+    corners = []
+    for bits in range(1 << len(coords)):
+        subset = {c for j, c in enumerate(coords) if bits >> j & 1}
+        corners.append(fp(*(v if i in subset else 0 for i, v in enumerate(x.payload, start=1))))
+    return sup_finite(corners)

@@ -23,7 +23,7 @@ from trunclat import (
     archimedean_check,
     band,
     band_component,
-    band_component_oracle,
+    band_component_join,
     catalog,
     check_assertion,
     check_chain_sup_additivity,
@@ -66,7 +66,7 @@ from trunclat.truncation import SymbolicPass, SymbolicViolation
 from trunclat.unitization import NonUnitalZero, UnitalSpan
 from trunclat.spaces import FinitePointwise
 
-from oracles import o_abs, o_join, o_leq, o_meet, o_positive
+from oracles import band_component_oracle, o_abs, o_join, o_leq, o_meet, o_positive
 
 CATALOG = catalog()
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -198,7 +198,9 @@ def test_criterion_5_band_machinery():
             b = band(space, coords)
             x = gen.positive()
             got = band_component(space, b, x)
-            assert got == band_component_oracle(space, b, x)
+            want = band_component_oracle(space, b, x)
+            assert got == want
+            assert band_component_join(space, b, x) == want
             assert leq(zero(space), got) and leq(got, x)
 
         ctx = unitize(CATALOG["finite_pointwise"].trunc)

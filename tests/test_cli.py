@@ -46,6 +46,21 @@ def test_eval_malformed_rational_exits_two(argv, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--space", "finite_pointwise:99999999999999999999", "--trials", "1"],
+        ["check", "--space", '{"space":"finite_pointwise","dim":99999999999999999999}', "--trials", "1"],
+        ["eval", "x", "--space", "finite_pointwise:99999999999999999999", "--bind", 'x=["1/1"]'],
+        ["eval", "(" * 200 + "x" + ")" * 200, "--bind", 'x={"1":"1/1"}'],
+    ],
+)
+def test_out_of_range_input_exits_two(argv, capsys):
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_check_sparse_exits_zero(capsys):
     assert run_cli("check", "--space", "sparse_seq", "--trunc", "meet_with_one",
                    "--seed", "42", "--trials", "50") == 0

@@ -27,7 +27,7 @@ from trunclat import (
     sparse,
     zero,
 )
-from trunclat.dsl import Abs, Add, Join, Meet, One, Pos, RationalLit, Scale, Sub, Trunc, Var
+from trunclat.dsl import MAX_DEPTH, Abs, Add, Join, Meet, One, Pos, RationalLit, Scale, Sub, Trunc, Var
 from trunclat.engine import REGISTRY
 
 CATALOG = catalog()
@@ -80,6 +80,34 @@ def test_parse_errors_carry_offsets():
     with pytest.raises(ParseError) as info:
         parse("x + 2/0 * y")
     assert info.value.offset == 4
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1),
+        "tr(" * 200 + "x" + ")" * 200,
+        "|" * 200 + "x" + "|" * 200,
+        "2 * " * 1000 + "x",
+        " + ".join(["x"] * (MAX_DEPTH + 2)),
+        " \\/ ".join(["x"] * 3000),
+        " /\\ ".join(["x"] * 3000),
+    ],
+)
+def test_parse_refuses_deep_nesting(source):
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse(source)
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_assertion(f"x <= {source}")
+
+
+def test_parse_and_evaluate_at_the_depth_limit():
+    x = sparse({1: 1})
+    assert parse("(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH) == Var("x")
+    chain = parse(" + ".join(["x"] * (MAX_DEPTH + 1)))
+    assert evaluate(chain, {"x": x}, SPARSE_CTX) == sparse({1: MAX_DEPTH + 1})
+    scaled = parse("2 * " * MAX_DEPTH + "x")
+    assert evaluate(scaled, {"x": x}, SPARSE_CTX) == sparse({1: 2**MAX_DEPTH})
 
 
 def test_parse_assertion_relations():

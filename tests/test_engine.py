@@ -18,7 +18,7 @@ from trunclat import (
     archimedean_check,
     band,
     band_component,
-    band_component_oracle,
+    band_component_join,
     catalog,
     check_lemma54,
     check_remark34,
@@ -50,6 +50,8 @@ from trunclat import (
 )
 from trunclat import engine
 from trunclat.engine import SymbolicDecision, Witness, NoWitnessUpTo
+
+from oracles import band_component_oracle
 
 CATALOG = catalog()
 SPARSE = unitize(CATALOG["sparse_seq"].trunc)
@@ -383,7 +385,31 @@ def test_band_component_matches_oracle():
             coords = gen.index_subset(dim)
             b = band(space, coords)
             x = gen.positive()
-            assert band_component(space, b, x) == band_component_oracle(space, b, x)
+            want = band_component_oracle(space, b, x)
+            assert band_component(space, b, x) == want
+            assert band_component_join(space, b, x) == want
+
+
+def test_band_component_join_is_linear(monkeypatch):
+    # the fold builds one corner per band coordinate; a 2^|B| fold would trip the counter
+    space = FinitePointwise(40)
+    b = band(space, range(1, 41))
+    x = SampleGen(40, space).positive()
+    want = band_component(space, b, x)
+    calls = 0
+    real_mask = engine._mask
+
+    def counting_mask(*args):
+        nonlocal calls
+        calls += 1
+        if calls > space.dim + 1:
+            raise AssertionError("band_component_join built more than dim + 1 corners")
+        return real_mask(*args)
+
+    monkeypatch.setattr(engine, "_mask", counting_mask)
+    assert band_component_join(space, b, x) == want
+    with pytest.raises(NegativeInput):
+        band_component_join(space, b, fp_const(40, -1))
 
 
 def test_project_band_unitized_example():
