@@ -678,13 +678,13 @@ def band_component(space: FinitePointwise, b: Band, x: Element) -> Element:
 def band_component_join(space: FinitePointwise, b: Band, x: Element) -> Element:
     """Second route to the band component: the join of 0 and the atomic corners.
 
-    Every corner of ``B+ ∩ [0, x]`` is the join of the atomic corners
-    ``x`` masked to one coordinate of the band that it contains, so this
-    fold of ``|B|`` joins equals the join over all ``2^|B|`` corners.
+    An atomic corner is ``x`` masked to one coordinate of the band.  Every
+    corner of ``B+ ∩ [0, x]`` is the join of the atomic corners it contains,
+    so this fold of ``|B|`` joins equals the join over all ``2^|B|`` corners.
     """
     if not leq(zero(space), x):
         raise NegativeInput("band components are defined for positive elements")
-    atoms = [_mask(space, frozenset((c,)), x) for c in sorted(b.coords)]
+    atoms = [_mask(space, frozenset((c,)), x) for c in b.coords]
     return sup_finite([zero(space)] + atoms)
 
 
