@@ -203,9 +203,10 @@ def check_ideal(
             if b.lam != 0:
                 witness = {"a": element_to_json(a), "b": unitized_to_json(b)}
                 return LawReport.refuted("thm11.ideal", len(pairs), seed, witness)
-    return LawReport.passed(
-        "thm11.ideal", len(pairs), seed, detail=f"absorbed={absorbed}"
-    )
+    detail = f"absorbed={absorbed}"
+    if not absorbed:
+        return LawReport.inconclusive("thm11.ideal", len(pairs), seed, bound=0, detail=detail)
+    return LawReport.passed("thm11.ideal", len(pairs), seed, detail=detail)
 
 
 @dataclass(frozen=True)

@@ -7,16 +7,32 @@ computed pointwise on that function, with no reference to the cone test or
 the absolute-value formula under test, and the result is re-encoded as a
 pair.  This is the second route for every cross-check in the test suite.
 
-The module also keeps the reference sparse kernel: a dict lookup of every
-index in either support, against which the ordered-merge primitives of
-``trunclat.spaces`` are checked; and the brute-force band component, a join
-over all ``2^|B|`` corners, against which ``band_component`` and its
-linear-time second route ``band_component_join`` are checked.
+The module also keeps three brute-force references:
+
+* the sparse kernel, a dict lookup of every index in either support, against
+  which the ordered-merge primitives of ``trunclat.spaces`` are checked;
+* the band component, a join over all ``2^|B|`` corners, against which
+  ``band_component`` and its linear-time second route ``band_component_join``
+  are checked;
+* the uniform-Cauchy check that compares every pair of a window, against
+  which the sup-minus-inf fold of ``uniform_cauchy_prefix`` is checked.
 """
 
 from fractions import Fraction
 
-from trunclat import NegativeInput, UnitizedElement, coeff, fp, leq, sparse, sup_finite, support, zero
+from trunclat import (
+    NegativeInput,
+    UnitizedElement,
+    abs_u,
+    coeff,
+    fp,
+    leq,
+    leq_u,
+    sparse,
+    sup_finite,
+    support,
+    zero,
+)
 
 
 def _indices(*ues):
@@ -96,3 +112,17 @@ def band_component_oracle(space, b, x):
         subset = {c for j, c in enumerate(coords) if bits >> j & 1}
         corners.append(fp(*(v if i in subset else 0 for i, v in enumerate(x.payload, start=1))))
     return sup_finite(corners)
+
+
+def uniform_cauchy_pairwise(ctx, seq, u, eps, lo, hi):
+    """The first pair ``n < m`` whose ``|seq(n) - seq(m)|`` is not below ``eps * u``, or None.
+
+    Compares every pair of the window, in the order ``(lo, lo+1), (lo, lo+2), ..., (hi-1, hi)``.
+    """
+    bound = Fraction(eps) * u
+    values = {n: seq(n) for n in range(lo, hi + 1)}
+    for n in range(lo, hi + 1):
+        for m in range(n + 1, hi + 1):
+            if not leq_u(ctx, abs_u(ctx, values[n] - values[m]), bound):
+                return n, m
+    return None

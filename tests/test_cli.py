@@ -75,6 +75,15 @@ def test_check_identity_line_expected_violation(capsys):
     assert "REFUTED (expected)" in out
 
 
+def test_check_lex_unit_on_first_axis_expects_tau3(capsys):
+    # n*(0,1) <= (1,0) for every n: check_tau3 decides the refutation symbolically
+    assert run_cli("check", "--space", "lex_plane",
+                   "--trunc", '{"kind":"meet_with_unit","unit":["1/1","0/1"]}',
+                   "--trials", "20") == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert ["tau3", "REFUTED", "(expected)"] in [row[:3] for row in rows]
+
+
 def test_check_malformed_descriptor(capsys):
     assert run_cli("check", "--space", "no_such_space") == 2
     assert run_cli("check", "--space", '{"space": 3}') == 2

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trunclat import (
     CertifiedSeq,
@@ -8,6 +9,7 @@ from trunclat import (
     InvalidCertificate,
     LexPlane,
     FinitePointwise,
+    MeetWithUnit,
     NegativeInput,
     PreconditionViolated,
     SampleGen,
@@ -43,6 +45,7 @@ from trunclat import (
     sparse,
     truncate,
     truncate_u,
+    truncation,
     uniform_cauchy_prefix,
     unitization_archimedean,
     unitize,
@@ -51,7 +54,7 @@ from trunclat import (
 from trunclat import engine
 from trunclat.engine import SymbolicDecision, Witness, NoWitnessUpTo
 
-from oracles import band_component_oracle
+from oracles import band_component_oracle, uniform_cauchy_pairwise
 
 CATALOG = catalog()
 SPARSE = unitize(CATALOG["sparse_seq"].trunc)
@@ -132,6 +135,27 @@ def test_expected_violation_registry():
     assert expected_violations(CATALOG["sparse_seq"]) == frozenset()
 
 
+# The hand-written (space, kind) table that expected_violations replaced.
+OLD_EXPECTED_TABLE = {
+    "sparse_seq": frozenset(),
+    "lex_plane": frozenset({"archimedean.space", "archimedean.unitization"}),
+    "identity_line": frozenset({"tau3", "archimedean.unitization"}),
+    "finite_pointwise": frozenset(),
+}
+
+
+def test_expected_violations_are_derived_from_the_deciders():
+    for name, ctx in CATALOG.items():
+        assert expected_violations(ctx) == OLD_EXPECTED_TABLE[name], name
+    lex = LexPlane()
+    on_first_axis = engine.LawContext(lex, truncation(lex, MeetWithUnit(lexpair(1, 0))))
+    assert expected_violations(on_first_axis) == frozenset(
+        {"tau3", "archimedean.space", "archimedean.unitization"}
+    )
+    on_second_axis = engine.LawContext(lex, truncation(lex, MeetWithUnit(lexpair(0, 1))))
+    assert "tau3" not in expected_violations(on_second_axis)
+
+
 # -- uniform convergence -------------------------------------------------------
 
 def test_eps_start_index():
@@ -171,25 +195,73 @@ def test_uniform_cauchy_prefix_evaluates_each_index_once():
     assert calls == list(range(10, 31))
 
 
+def _count_order_ops(monkeypatch):
+    calls = {"join_u": 0, "meet_u": 0, "leq_u": 0}
+    for name in calls:
+        original = getattr(engine, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(engine, name, counted)
+    return calls
+
+
+def test_uniform_cauchy_prefix_is_linear_in_the_window(monkeypatch):
+    calls = _count_order_ops(monkeypatch)
+
+    def seq(n):
+        return SPARSE.embed(harmonic_prefix(n))
+
+    for lo, hi in ((10, 10), (10, 11), (10, 30), (1, 60)):
+        for name in calls:
+            calls[name] = 0
+        window = hi - lo + 1
+        assert uniform_cauchy_prefix(SPARSE, seq, SPARSE.one, Fraction(1, 10), lo, hi) == (lo >= 10)
+        assert calls["join_u"] <= window - 1 and calls["meet_u"] <= window - 1, (lo, hi, calls)
+        assert calls["leq_u"] == 1, (lo, hi, calls)
+
+
 def test_uniform_cauchy_prefix_stops_at_the_planted_pair(monkeypatch):
     # seq(n) = e_n, except seq(5) = e_5 - e_3: only |seq(3) - seq(5)| = 2e_3 + e_5
-    # exceeds 1, and (3, 5) is the ninth pair in the order (1, 2), (1, 3), ...
+    # exceeds 1.  The fold decides either window with one comparison of sup - inf;
+    # the pairwise oracle names the planted pair.
     def seq(n):
         return SPARSE.embed(sparse({n: 1, 3: -1} if n == 5 else {n: 1}))
 
-    compared = []
-
-    def recording_leq_u(ctx, a, b):
-        compared.append(a)
-        return leq_u(ctx, a, b)
-
-    monkeypatch.setattr(engine, "leq_u", recording_leq_u)
+    calls = _count_order_ops(monkeypatch)
     assert uniform_cauchy_prefix(SPARSE, seq, SPARSE.one, Fraction(1), 1, 4)
-    assert len(compared) == 6
-    compared.clear()
+    assert calls["leq_u"] == 1
+    calls["leq_u"] = 0
     assert not uniform_cauchy_prefix(SPARSE, seq, SPARSE.one, Fraction(1), 1, 5)
-    assert len(compared) == 9
-    assert compared[-1] == SPARSE.embed(sparse({3: 2, 5: 1}))
+    assert calls["leq_u"] == 1
+    assert uniform_cauchy_pairwise(SPARSE, seq, SPARSE.one, Fraction(1), 1, 4) is None
+    assert uniform_cauchy_pairwise(SPARSE, seq, SPARSE.one, Fraction(1), 1, 5) == (3, 5)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(sorted(CATALOG)),
+    seed=st.integers(0, 2**32),
+    length=st.integers(1, 8),
+    spread=st.sampled_from((Fraction(0), Fraction(1, 1000), Fraction(1, 10), Fraction(1))),
+    eps=st.fractions(min_value=Fraction(1, 20), max_value=4, max_denominator=20),
+)
+def test_uniform_cauchy_prefix_matches_pairwise_oracle(name, seed, length, spread, eps):
+    # Windows of unitized values with nonzero scalar parts in no particular order:
+    # a center plus perturbations scaled by `spread`, so both verdicts occur.
+    ctx = CATALOG[name].uctx
+    gen = SampleGen(seed, ctx.space)
+    center = gen.unitized()
+    values = [center + spread * gen.unitized() for _ in range(length)]
+    u = gen.positive_unitized(ctx)
+
+    def seq(n):
+        return values[n - 1]
+
+    got = uniform_cauchy_prefix(ctx, seq, u, eps, 1, length)
+    assert got == (uniform_cauchy_pairwise(ctx, seq, u, eps, 1, length) is None)
 
 
 def test_uniform_cauchy_prefix_preconditions():
@@ -285,6 +357,13 @@ def test_lemma54_examples():
     assert single.verdict == "pass"
     with pytest.raises(EmptySet):
         check_lemma54(SPARSE, [], [SPARSE.one])
+
+
+def test_lemma54_without_an_applicable_bound_is_inconclusive():
+    # 0 is not an upper bound of {e_1}, so no bound exercises the claim
+    report = check_lemma54(SPARSE, [sparse({1: 1})], [SPARSE.zero])
+    assert report.verdict == "inconclusive"
+    assert report.bound == 0 and report.detail == "applicable=0"
 
 
 # -- supremum characterizations --------------------------------------------------

@@ -188,6 +188,13 @@ def test_ideal_absorption_examples():
     assert report.detail == "absorbed=1"
 
 
+def test_ideal_absorption_with_nothing_absorbed_is_inconclusive():
+    # |1| = 1 does not sit below |0| = 0, so no pair exercises the claim
+    report = check_ideal(SPARSE, [(sparse(), SPARSE.one)])
+    assert report.verdict == "inconclusive"
+    assert report.bound == 0 and report.detail == "absorbed=0"
+
+
 def test_ideal_absorption_sampled():
     for ctx in ALL_CTX:
         gen = SampleGen(89, ctx.space)
