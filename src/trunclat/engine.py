@@ -316,7 +316,8 @@ def check_remark34(
 
     Verifies the exact identity ``x ^ u = (x1 ^ u, 0)``, that every sampled
     base ``y`` with ``0 <= y <= x`` has ``tr(y) <= x ^ u``, and that ``y = x1``
-    attains the bound.
+    attains the bound.  With no sampled ``y`` in ``[0, x]`` the bound is
+    untested and the verdict is ``inconclusive`` (``bound=0``).
     """
     if not ctx.trunc.unital:
         raise PreconditionViolated("the unital supremum form needs a unital base")
@@ -351,6 +352,11 @@ def check_remark34(
         witness = {"x1": element_to_json(x1), "mu": format_rational(mu)}
         return LawReport.refuted(
             "remark34.sup", checked, seed, witness, detail="bound not attained by x1"
+        )
+    if not checked:
+        # only the meet identity and the attainment were verified: no y tested the bound
+        return LawReport.inconclusive(
+            "remark34.sup", checked, seed, bound=0, detail="attained by x1"
         )
     return LawReport.passed("remark34.sup", checked, seed, detail="attained by x1")
 

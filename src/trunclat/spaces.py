@@ -13,6 +13,15 @@ Four concrete spaces are supported:
 Elements are immutable values and every operation is pure and exact.
 The sign decomposition follows the lattice convention: ``pos(a) = a v 0`` and
 ``neg(a) = (-a) v 0`` are both positive, with ``a = pos(a) - neg(a)``.
+
+Order comparisons read the public ``numerator`` and ``denominator`` of each
+``Fraction`` rather than going through its rich comparisons.  A sign test reads
+the sign of the numerator, and ``x <= y`` is the integer comparison
+``x.numerator * y.denominator <= y.numerator * x.denominator``, which is exact
+because a ``Fraction`` is always reduced with a positive denominator.  ``pos``,
+``neg`` and ``abs`` are computed value by value in one pass over the payload
+(on ``LexPlane`` from the sign of the pair), with no zero element, negated copy
+or join built on the way; sparse results drop the zeros.
 """
 
 from __future__ import annotations
@@ -106,7 +115,18 @@ class Element:
         return scale(_coerce(c), self)
 
     def __abs__(self) -> "Element":
-        return join(self, -self)
+        """``a v (-a)``, value by value."""
+        p = self.payload
+        match self.space:
+            case FinitePointwise():
+                return Element(self.space, tuple(map(_abs_value, p)))
+            case SparseSeq():
+                return Element(self.space, tuple((k, _abs_value(v)) for k, v in p))
+            case LexPlane():
+                return -self if _lex_sign(p) < 0 else self
+            case IdentityLine():
+                return Element(self.space, _abs_value(p))
+        raise TypeError(f"unknown space {self.space!r}")
 
     def __le__(self, other: "Element") -> bool:
         return leq(self, other)
@@ -137,7 +157,7 @@ def sparse(entries: Mapping[int, object] | Iterable[tuple[int, object]] = ()) ->
         if not isinstance(k, int) or k < 1:
             raise ValueError(f"sparse indices must be integers >= 1, got {k!r}")
         value = _coerce(v)
-        if value != 0:
+        if value.numerator:
             cleaned[k] = value
     return Element(SparseSeq(), tuple(sorted(cleaned.items())))
 
@@ -185,7 +205,7 @@ def coeff(a: Element, index: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def _same_space(a: Element, b: Element) -> None:
-    if a.space != b.space:
+    if a.space is not b.space and a.space != b.space:
         raise SpaceMismatch(f"{a.space!r} vs {b.space!r}")
 
 
@@ -230,16 +250,34 @@ def _keep(v: Fraction) -> Fraction:
 
 
 def _pos_value(v: Fraction) -> Fraction:
-    return v if v > 0 else _ZERO
+    return v if v.numerator > 0 else _ZERO
 
 
 def _neg_value(v: Fraction) -> Fraction:
-    return v if v < 0 else _ZERO
+    return v if v.numerator < 0 else _ZERO
+
+
+def _neg_part(v: Fraction) -> Fraction:
+    return -v if v.numerator < 0 else _ZERO
+
+
+def _abs_value(v: Fraction) -> Fraction:
+    return -v if v.numerator < 0 else v
+
+
+def _max(x: Fraction, y: Fraction) -> Fraction:
+    return y if x.numerator * y.denominator < y.numerator * x.denominator else x
+
+
+def _min(x: Fraction, y: Fraction) -> Fraction:
+    return y if y.numerator * x.denominator < x.numerator * y.denominator else x
 
 
 def _diff(x: Fraction, y: Fraction) -> Fraction:
     # equal values cancel without building a Fraction
-    return _ZERO if x == y else x - y
+    if x.numerator == y.numerator and x.denominator == y.denominator:
+        return _ZERO
+    return x - y
 
 
 def _sparse_leq(pa, pb) -> bool:
@@ -249,23 +287,33 @@ def _sparse_leq(pa, pb) -> bool:
         ka, va = pa[i]
         kb, vb = pb[j]
         if ka == kb:
-            if va > vb:
+            if va.numerator * vb.denominator > vb.numerator * va.denominator:
                 return False
             i += 1
             j += 1
         elif ka < kb:
-            if va > 0:
+            if va.numerator > 0:
                 return False
             i += 1
         else:
-            if vb < 0:
+            if vb.numerator < 0:
                 return False
             j += 1
-    return all(v <= 0 for _, v in pa[i:]) and all(v >= 0 for _, v in pb[j:])
+    return all(v.numerator <= 0 for _, v in pa[i:]) and all(v.numerator >= 0 for _, v in pb[j:])
+
+
+def _lex_sign(p) -> int:
+    """-1, 0 or 1: the sign of the first nonzero coordinate of a lex pair."""
+    n = p[0].numerator or p[1].numerator
+    return (n > 0) - (n < 0)
 
 
 def _lex_leq(pa, pb) -> bool:
-    return pa[0] < pb[0] or (pa[0] == pb[0] and pa[1] <= pb[1])
+    (a0, a1), (b0, b1) = pa, pb
+    left, right = a0.numerator * b0.denominator, b0.numerator * a0.denominator
+    if left != right:
+        return left < right
+    return a1.numerator * b1.denominator <= b1.numerator * a1.denominator
 
 
 def add(a: Element, b: Element) -> Element:
@@ -298,7 +346,7 @@ def scale(c, a: Element) -> Element:
         case FinitePointwise() | LexPlane():
             return Element(a.space, tuple(c * x for x in a.payload))
         case SparseSeq():
-            if c == 0:
+            if not c.numerator:
                 return Element(a.space, ())
             return Element(a.space, tuple((k, c * v) for k, v in a.payload))
         case IdentityLine():
@@ -310,13 +358,17 @@ def leq(a: Element, b: Element) -> bool:
     _same_space(a, b)
     match a.space:
         case FinitePointwise():
-            return all(x <= y for x, y in zip(a.payload, b.payload))
+            return all(
+                x.numerator * y.denominator <= y.numerator * x.denominator
+                for x, y in zip(a.payload, b.payload)
+            )
         case SparseSeq():
             return _sparse_leq(a.payload, b.payload)
         case LexPlane():
             return _lex_leq(a.payload, b.payload)
         case IdentityLine():
-            return a.payload <= b.payload
+            x, y = a.payload, b.payload
+            return x.numerator * y.denominator <= y.numerator * x.denominator
     raise TypeError(f"unknown space {a.space!r}")
 
 
@@ -324,15 +376,15 @@ def join(a: Element, b: Element) -> Element:
     _same_space(a, b)
     match a.space:
         case FinitePointwise():
-            return Element(a.space, tuple(max(x, y) for x, y in zip(a.payload, b.payload)))
+            return Element(a.space, tuple(map(_max, a.payload, b.payload)))
         case SparseSeq():
-            return Element(a.space, _sparse_merge(a.payload, b.payload, max, _pos_value, _pos_value))
+            return Element(a.space, _sparse_merge(a.payload, b.payload, _max, _pos_value, _pos_value))
         case LexPlane():
             # The lex order is total: the join is the larger pair, not the
             # componentwise maximum.
             return a if _lex_leq(b.payload, a.payload) else b
         case IdentityLine():
-            return Element(a.space, max(a.payload, b.payload))
+            return Element(a.space, _max(a.payload, b.payload))
     raise TypeError(f"unknown space {a.space!r}")
 
 
@@ -340,24 +392,44 @@ def meet(a: Element, b: Element) -> Element:
     _same_space(a, b)
     match a.space:
         case FinitePointwise():
-            return Element(a.space, tuple(min(x, y) for x, y in zip(a.payload, b.payload)))
+            return Element(a.space, tuple(map(_min, a.payload, b.payload)))
         case SparseSeq():
-            return Element(a.space, _sparse_merge(a.payload, b.payload, min, _neg_value, _neg_value))
+            return Element(a.space, _sparse_merge(a.payload, b.payload, _min, _neg_value, _neg_value))
         case LexPlane():
             return b if _lex_leq(b.payload, a.payload) else a
         case IdentityLine():
-            return Element(a.space, min(a.payload, b.payload))
+            return Element(a.space, _min(a.payload, b.payload))
     raise TypeError(f"unknown space {a.space!r}")
 
 
 def pos(a: Element) -> Element:
-    """Positive part ``a v 0``."""
-    return join(a, zero(a.space))
+    """Positive part ``a v 0``, value by value."""
+    p = a.payload
+    match a.space:
+        case FinitePointwise():
+            return Element(a.space, tuple(map(_pos_value, p)))
+        case SparseSeq():
+            return Element(a.space, tuple(kv for kv in p if kv[1].numerator > 0))
+        case LexPlane():
+            return a if _lex_sign(p) >= 0 else Element(a.space, (_ZERO, _ZERO))
+        case IdentityLine():
+            return Element(a.space, _pos_value(p))
+    raise TypeError(f"unknown space {a.space!r}")
 
 
 def neg(a: Element) -> Element:
-    """Negative part ``(-a) v 0``; always >= 0, with ``a = pos(a) - neg(a)``."""
-    return join(-a, zero(a.space))
+    """Negative part ``(-a) v 0``, value by value; always >= 0, with ``a = pos(a) - neg(a)``."""
+    p = a.payload
+    match a.space:
+        case FinitePointwise():
+            return Element(a.space, tuple(map(_neg_part, p)))
+        case SparseSeq():
+            return Element(a.space, tuple((k, -v) for k, v in p if v.numerator < 0))
+        case LexPlane():
+            return -a if _lex_sign(p) < 0 else Element(a.space, (_ZERO, _ZERO))
+        case IdentityLine():
+            return Element(a.space, _neg_part(p))
+    raise TypeError(f"unknown space {a.space!r}")
 
 
 def sup_finite(elements: Iterable[Element]) -> Element:

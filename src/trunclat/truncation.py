@@ -138,7 +138,7 @@ def truncation(space: Space, kind: TruncationKind) -> TruncationSpec:
 
 def truncate(t: TruncationSpec, x: Element) -> Element:
     """Apply the truncation to ``x >= 0``; the result satisfies ``0 <= tr(x) <= x``."""
-    if x.space != t.space:
+    if x.space is not t.space and x.space != t.space:
         raise SpaceMismatch("element does not live on the truncation's space")
     if not leq(zero(t.space), x):
         raise NegativeInput(f"truncate requires a positive element, got {x!r}")
@@ -146,7 +146,10 @@ def truncate(t: TruncationSpec, x: Element) -> Element:
         case MeetWithUnit(unit=u):
             return meet(x, u)
         case MeetWithOne():
-            return Element(x.space, tuple((k, v if v < _ONE else _ONE) for k, v in x.payload))
+            # v < 1 exactly when its numerator is below its (positive) denominator
+            return Element(
+                x.space, tuple((k, v if v.numerator < v.denominator else _ONE) for k, v in x.payload)
+            )
         case LexMeetZeroOne():
             return meet(x, lexpair(0, 1))
         case IdentityTruncation():
@@ -158,7 +161,7 @@ def truncate(t: TruncationSpec, x: Element) -> Element:
 
 def in_fixed_set(t: TruncationSpec, x: Element) -> bool:
     """Fixed-set membership: ``tr(|x|) = |x|`` (defined for arbitrary sign)."""
-    if x.space != t.space:
+    if x.space is not t.space and x.space != t.space:
         raise SpaceMismatch("element does not live on the truncation's space")
     a = abs(x)
     return truncate(t, a) == a

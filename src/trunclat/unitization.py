@@ -112,9 +112,10 @@ def is_positive(ctx: UnitizationCtx, a: UnitizedElement) -> bool:
     For a positive scalar part the test reduces to fixed-set membership of the
     rescaled negative part, which is already a positive element.
     """
-    if a.lam < 0:
+    sign = a.lam.numerator
+    if sign < 0:
         return False
-    if a.lam == 0:
+    if not sign:
         return leq(zero(ctx.space), a.e)
     return in_fixed_set(ctx.trunc, scale(1 / a.lam, neg(a.e)))
 
@@ -128,9 +129,9 @@ def lt_u(ctx: UnitizationCtx, a: UnitizedElement, b: UnitizedElement) -> bool:
 
 
 def abs_u(ctx: UnitizationCtx, a: UnitizedElement) -> UnitizedElement:
-    if a.lam == 0:
+    if not a.lam.numerator:
         return UnitizedElement(abs(a.e), Fraction(0))
-    lam_abs = abs(a.lam)
+    lam_abs = -a.lam if a.lam.numerator < 0 else a.lam
     inv = 1 / a.lam
     # (1/lam) neg(e) v (-1/lam) pos(e) is >= 0 for either sign of lam
     arg = join(scale(inv, neg(a.e)), scale(-inv, pos(a.e)))

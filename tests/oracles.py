@@ -7,10 +7,15 @@ computed pointwise on that function, with no reference to the cone test or
 the absolute-value formula under test, and the result is re-encoded as a
 pair.  This is the second route for every cross-check in the test suite.
 
-The module also keeps three brute-force references:
+The module also keeps these references:
 
 * the sparse kernel, a dict lookup of every index in either support, against
   which the ordered-merge primitives of ``trunclat.spaces`` are checked;
+* the order kernel as first written: ``leq``, ``join`` and ``meet`` through the
+  ``Fraction`` comparison operators and the ``max``/``min`` builtins, and
+  ``pos = a v 0``, ``neg = (-a) v 0`` and ``abs = a v (-a)`` as joins, against
+  which the integer comparisons and one-pass parts of ``trunclat.spaces`` are
+  checked;
 * the band component, a join over all ``2^|B|`` corners, against which
   ``band_component`` and its linear-time second route ``band_component_join``
   are checked;
@@ -21,7 +26,12 @@ The module also keeps three brute-force references:
 from fractions import Fraction
 
 from trunclat import (
+    Element,
+    FinitePointwise,
+    IdentityLine,
+    LexPlane,
     NegativeInput,
+    SparseSeq,
     UnitizedElement,
     abs_u,
     coeff,
@@ -95,6 +105,55 @@ def ref_sparse_leq(pa, pb) -> bool:
     da = dict(pa)
     db = dict(pb)
     return all(da.get(k, Fraction(0)) <= db.get(k, Fraction(0)) for k in set(da) | set(db))
+
+
+def ref_leq(a: Element, b: Element) -> bool:
+    pa, pb = a.payload, b.payload
+    match a.space:
+        case FinitePointwise():
+            return all(x <= y for x, y in zip(pa, pb))
+        case SparseSeq():
+            return ref_sparse_leq(pa, pb)
+        case LexPlane():
+            return pa[0] < pb[0] or (pa[0] == pb[0] and pa[1] <= pb[1])
+        case IdentityLine():
+            return pa <= pb
+    raise TypeError(f"unknown space {a.space!r}")
+
+
+def _ref_lattice_op(a: Element, b: Element, fn, lex_pick_a: bool) -> Element:
+    pa, pb = a.payload, b.payload
+    match a.space:
+        case FinitePointwise():
+            return Element(a.space, tuple(fn(x, y) for x, y in zip(pa, pb)))
+        case SparseSeq():
+            return Element(a.space, ref_sparse_merge(pa, pb, fn))
+        case LexPlane():
+            # a total order: the larger (join) or smaller (meet) pair
+            return a if ref_leq(b, a) == lex_pick_a else b
+        case IdentityLine():
+            return Element(a.space, fn(pa, pb))
+    raise TypeError(f"unknown space {a.space!r}")
+
+
+def ref_join(a: Element, b: Element) -> Element:
+    return _ref_lattice_op(a, b, max, True)
+
+
+def ref_meet(a: Element, b: Element) -> Element:
+    return _ref_lattice_op(a, b, min, False)
+
+
+def ref_pos(a: Element) -> Element:
+    return ref_join(a, zero(a.space))
+
+
+def ref_neg(a: Element) -> Element:
+    return ref_join(-a, zero(a.space))
+
+
+def ref_abs(a: Element) -> Element:
+    return ref_join(a, -a)
 
 
 def band_component_oracle(space, b, x):

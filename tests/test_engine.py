@@ -443,6 +443,17 @@ def test_remark34_examples():
         check_remark34(SPARSE, sparse(), Fraction(1), [])
 
 
+def test_remark34_with_no_sample_in_range_is_inconclusive():
+    ctx = unitize(truncation(FinitePointwise(2), MeetWithUnit(fp_const(2, 1))))
+    # x = x1 = (2, 0): the meet identity holds and x1 attains the bound, but no y was checked
+    for ys in ([], [fp(3, 0), fp(-1, 0)]):
+        report = check_remark34(ctx, fp(2, 0), Fraction(0), ys)
+        assert report.verdict == "inconclusive"
+        assert report.bound == 0
+        assert report.trials == 0
+    assert check_remark34(ctx, fp(2, 0), Fraction(0), [fp(1, 0)]).verdict == "pass"
+
+
 # -- bands -----------------------------------------------------------------------
 
 def test_band_component_examples():

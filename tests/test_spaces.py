@@ -4,8 +4,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import ref_sparse_leq, ref_sparse_merge
+from oracles import (
+    ref_abs,
+    ref_join,
+    ref_leq,
+    ref_meet,
+    ref_neg,
+    ref_pos,
+    ref_sparse_leq,
+    ref_sparse_merge,
+)
 from trunclat import (
+    Element,
     EmptySet,
     FinitePointwise,
     IdentityLine,
@@ -14,11 +24,14 @@ from trunclat import (
     SampleGen,
     SpaceMismatch,
     SparseSeq,
+    abs_u,
+    catalog,
     check_chain_sup_additivity,
     decompose_chain,
     element_from_json,
     element_to_json,
     fp,
+    is_positive,
     join,
     leq,
     lexpair,
@@ -33,6 +46,7 @@ from trunclat import (
     sparse,
     sub,
     sup_finite,
+    truncate,
     zero,
 )
 
@@ -233,6 +247,107 @@ def test_sparse_kernel_matches_reference(pair):
     assert leq(b, a) == ref_sparse_leq(pb, pa)
     assert (-a).payload == ref_sparse_merge(pa, (), lambda x, _: -x)
     assert abs(a).payload == ref_sparse_merge(pa, (), lambda x, _: abs(x))
+
+
+# -- order kernel against the Fraction-operator reference --------------------
+
+_BIG = st.integers(min_value=2**64, max_value=2**80)
+_scalars = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(
+        Fraction, st.integers(min_value=-20, max_value=20), st.integers(min_value=1, max_value=9)
+    ),
+    # numerators and denominators above 2**64
+    st.builds(lambda n, d, s: Fraction(s * n, d), _BIG, _BIG, st.sampled_from((1, -1))),
+    st.builds(lambda n, s: Fraction(s * n, 2**64 + 1), _BIG, st.sampled_from((1, -1))),
+)
+
+
+def _sparse_payload(values: dict) -> tuple:
+    return tuple(sorted((k, v) for k, v in values.items() if v))
+
+
+@st.composite
+def kernel_pairs(draw):
+    """Two elements of one space, steered into the cases a comparison can get wrong."""
+    space = draw(st.sampled_from(SPACES))
+    shape = draw(st.sampled_from(("independent", "equal", "negated", "shared", "one_signed")))
+    if isinstance(space, SparseSeq):
+        keys = st.integers(min_value=1, max_value=12)
+        da = draw(st.dictionaries(keys, _scalars, max_size=6))
+        db = draw(st.dictionaries(keys, _scalars, max_size=6))
+        if shape == "equal":
+            db = dict(da)
+        elif shape == "negated":  # a + b cancels at every index
+            db = {k: -v for k, v in da.items()}
+        elif shape == "shared":  # equal values at shared indices
+            db = {**db, **{k: v for k, v in da.items() if draw(st.booleans())}}
+        elif shape == "one_signed":  # pos(a) or neg(a) is empty
+            sign = draw(st.sampled_from((1, -1)))
+            da = {k: sign * abs(v) for k, v in da.items()}
+        if draw(st.integers(0, 7)) == 0:
+            da = {}
+        a, b = Element(space, _sparse_payload(da)), Element(space, _sparse_payload(db))
+        return a, b
+    n = {FinitePointwise: 3, LexPlane: 2}.get(type(space), 1)
+    pa = list(draw(st.lists(_scalars, min_size=n, max_size=n)))
+    pb = list(draw(st.lists(_scalars, min_size=n, max_size=n)))
+    if isinstance(space, LexPlane) and draw(st.booleans()):
+        pa[0] = Fraction(0)  # the second coordinate decides
+    if shape == "equal":
+        pb = list(pa)
+    elif shape == "negated":
+        pb = [-v for v in pa]
+    elif shape == "shared":  # the first coordinate is always shared: lex pairs reach the second
+        pb = [x if i == 0 or draw(st.booleans()) else y for i, (x, y) in enumerate(zip(pa, pb))]
+    elif shape == "one_signed":
+        sign = draw(st.sampled_from((1, -1)))
+        pa = [sign * abs(v) for v in pa]
+    if isinstance(space, IdentityLine):
+        return Element(space, pa[0]), Element(space, pb[0])
+    return Element(space, tuple(pa)), Element(space, tuple(pb))
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(kernel_pairs())
+def test_order_kernel_matches_fraction_operators(pair):
+    a, b = pair
+    assert leq(a, b) == ref_leq(a, b)
+    assert leq(b, a) == ref_leq(b, a)
+    assert join(a, b) == ref_join(a, b)
+    assert meet(a, b) == ref_meet(a, b)
+    for x in (a, b):
+        assert pos(x) == ref_pos(x)
+        assert neg(x) == ref_neg(x)
+        assert abs(x) == ref_abs(x)
+
+
+def test_order_kernel_never_uses_fraction_rich_comparisons(monkeypatch):
+    """The order kernel reads numerators and denominators, never ``Fraction.__lt__`` and kin."""
+    cases = []
+    for ctx in catalog().values():
+        gen = SampleGen(5, ctx.space)
+        xs = [gen.element() for _ in range(30)]
+        ps = [gen.positive() for _ in range(30)]
+        us = [gen.unitized() for _ in range(30)]
+        cases.append((ctx, xs, ps, us))
+
+    def outputs(ctx, xs, ps, us):
+        out = []
+        for a, b in zip(xs, xs[1:]):
+            out += [leq(a, b), join(a, b), meet(a, b), pos(a), neg(a), abs(a)]
+        out += [truncate(ctx.trunc, p) for p in ps]
+        out += [(is_positive(ctx.uctx, u), abs_u(ctx.uctx, u)) for u in us]
+        return out
+
+    expected = [outputs(*case) for case in cases]
+
+    def refuse(self, other):
+        raise AssertionError("Fraction rich comparison reached from the order kernel")
+
+    for method in ("__lt__", "__le__", "__gt__", "__ge__"):
+        monkeypatch.setattr(Fraction, method, refuse)
+    assert [outputs(*case) for case in cases] == expected
 
 
 # -- wire format -------------------------------------------------------------
