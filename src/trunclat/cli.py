@@ -30,18 +30,19 @@ from .engine import (
     LawContext,
     archimedean_check,
     band,
-    band_component,
-    band_component_join,
+    band_component_holds,
+    band_projection_holds,
     catalog,
     check_thm33_sup,
     default_certified_fixtures,
     default_limit_candidates,
     derive_seed,
     expected_violations,
-    in_unitized_band,
-    project_band_unitized,
+    multiples_below,
+    multiples_fixed,
     repro_c00_ruc,
     repro_example43,
+    run_law,
     run_suite,
     UnitizedBand,
 )
@@ -56,11 +57,8 @@ from .spaces import (
     element_from_json,
     element_to_json,
     fp_const,
-    leq,
-    scale,
     space_from_json,
     sparse,
-    zero,
 )
 from .truncation import (
     IdentityTruncation,
@@ -69,14 +67,12 @@ from .truncation import (
     MeetWithUnit,
     SymbolicPass,
     SymbolicViolation,
-    check_tau1,
-    check_tau2,
     check_tau3,
     truncate,
     truncation,
     truncation_from_json,
 )
-from .unitization import abs_u, leq_u, meet_u, truncate_u, unitize, unitized_from_json, unitized_to_json
+from .unitization import leq_u, meet_u, truncate_u, unitize, unitized_from_json, unitized_to_json
 
 DEFAULT_SEED = 42
 DEFAULT_TRIALS = 200
@@ -105,12 +101,8 @@ def _parse_space(text: str | None):
     except (json.JSONDecodeError, TrunclatError) as exc:
         raise CliError(f"bad space descriptor: {exc}") from exc
     name, _, arg = text.partition(":")
-    if name == "sparse_seq":
-        return SparseSeq()
-    if name == "lex_plane":
-        return LexPlane()
-    if name == "identity_line":
-        return IdentityLine()
+    if name in ("sparse_seq", "lex_plane", "identity_line"):
+        return space_from_json({"space": name})
     if name == "finite_pointwise":
         try:
             return FinitePointwise(int(arg) if arg else 3)
@@ -133,12 +125,8 @@ def _parse_trunc(space, text: str | None):
     try:
         if text.startswith("{"):
             return truncation_from_json(space, json.loads(text))
-        if text == "meet_with_one":
-            return truncation(space, MeetWithOne())
-        if text == "lex_meet_zero_one":
-            return truncation(space, LexMeetZeroOne())
-        if text == "identity":
-            return truncation(space, IdentityTruncation())
+        if text in ("meet_with_one", "lex_meet_zero_one", "identity"):
+            return truncation_from_json(space, {"kind": text})
         if text == "meet_with_unit":
             if isinstance(space, FinitePointwise):
                 return truncation(space, MeetWithUnit(fp_const(space.dim, 1)))
@@ -164,11 +152,12 @@ def _run_assertion_file(path: str, cli_ctx: EvalContext, seed: int, trials: int)
     try:
         with open(path, "r", encoding="utf-8") as handle:
             loaded = load_assertion_text(handle.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read assertions file: {exc}") from exc
     except TrunclatError as exc:
         raise CliError(f"bad assertions file: {exc}") from exc
     ctx = loaded.ctx or cli_ctx
+    lat = ctx.lattice
     reports = []
     for lineno, assertion in loaded.assertions:
         law_id = f"assert:{lineno:03d}"
@@ -184,10 +173,7 @@ def _run_assertion_file(path: str, cli_ctx: EvalContext, seed: int, trials: int)
             except DslError as exc:
                 raise CliError(f"assertion at line {lineno} failed to evaluate: {exc}") from exc
             if not outcome.holds:
-                witness = {
-                    name: (unitized_to_json(v) if ctx.unitized else element_to_json(v))
-                    for name, v in env.items()
-                }
+                witness = {name: lat.to_json(v) for name, v in env.items()}
                 break
         if witness is None:
             reports.append(LawReport.passed(law_id, trials, seed))
@@ -212,8 +198,11 @@ def cmd_check(args) -> int:
     else:
         output = render_table(reports, expected)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(output)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(output)
+        except OSError as exc:
+            raise CliError(f"cannot write report: {exc}") from exc
     else:
         sys.stdout.write(output)
     unexpected = [r for r in reports if r.verdict == REFUTED and r.law_id not in expected]
@@ -245,8 +234,7 @@ def cmd_eval(args) -> int:
             env[name] = element_from_json(space, obj)
     term = parse(args.expr)
     value = evaluate(term, env, ctx)
-    encoded = unitized_to_json(value) if args.unitize else element_to_json(value)
-    print(json.dumps(encoded, separators=(",", ":")))
+    print(json.dumps(ctx.lattice.to_json(value), separators=(",", ":")))
     return 0
 
 
@@ -254,18 +242,21 @@ def cmd_eval(args) -> int:
 # Scripted reproductions
 # ---------------------------------------------------------------------------
 
+def _run_tau1_tau2(out, ctx: LawContext, seed: int, where: str) -> bool:
+    """Run the registered tau1 and tau2 laws for 1000 trials each and print their verdicts."""
+    ok = True
+    for law_id in ("tau1", "tau2"):
+        report = run_law(ctx, law_id, seed, 1000)
+        out(f"{law_id} on {where}: {report.verdict} ({report.trials} trials)")
+        ok &= report.ok
+    return ok
+
+
 def _repro_lex_trunc_archimedean(out) -> bool:
     ctx = catalog()["lex_plane"]
     seed = 1001
-    ok = True
-    gen = SampleGen(derive_seed(seed, "tau1"), ctx.space)
-    r1 = check_tau1(ctx.trunc, [gen.positive_pair() for _ in range(1000)], gen.seed)
-    gen = SampleGen(derive_seed(seed, "tau2"), ctx.space)
-    r2 = check_tau2(ctx.trunc, [gen.positive() for _ in range(1000)], gen.seed)
+    ok = _run_tau1_tau2(out, ctx, seed, "the lex plane")
     t3 = check_tau3(ctx.trunc, [], bound=100)
-    out(f"tau1 on the lex plane: {r1.verdict} ({r1.trials} trials)")
-    out(f"tau2 on the lex plane: {r2.verdict} ({r2.trials} trials)")
-    ok &= r1.ok and r2.ok
     if isinstance(t3, SymbolicPass):
         out(f"tau3 holds symbolically: {t3.reason}")
     else:
@@ -277,9 +268,7 @@ def _repro_lex_trunc_archimedean(out) -> bool:
         ok = False
     else:
         x, y = decision.witness
-        verified = all(
-            leq(zero(ctx.space), scale(n, x)) and leq(scale(n, x), y) for n in range(1, 65)
-        )
+        verified = multiples_below(ctx.trunc, x, y)
         out(
             "space is not Archimedean: witness x="
             + json.dumps(element_to_json(x))
@@ -294,20 +283,11 @@ def _repro_lex_trunc_archimedean(out) -> bool:
 def _repro_identity_trunc_tau3(out) -> bool:
     ctx = catalog()["identity_line"]
     seed = 1002
-    ok = True
-    gen = SampleGen(derive_seed(seed, "tau1"), ctx.space)
-    r1 = check_tau1(ctx.trunc, [gen.positive_pair() for _ in range(1000)], gen.seed)
-    gen = SampleGen(derive_seed(seed, "tau2"), ctx.space)
-    r2 = check_tau2(ctx.trunc, [gen.positive() for _ in range(1000)], gen.seed)
-    out(f"tau1 on the identity-truncated axis: {r1.verdict} ({r1.trials} trials)")
-    out(f"tau2 on the identity-truncated axis: {r2.verdict} ({r2.trials} trials)")
-    ok &= r1.ok and r2.ok
+    ok = _run_tau1_tau2(out, ctx, seed, "the identity-truncated axis")
     t3 = check_tau3(ctx.trunc, [], bound=100)
     if isinstance(t3, SymbolicViolation):
         w = t3.witness
-        verified = all(
-            truncate(ctx.trunc, scale(n, w)) == scale(n, w) for n in range(1, 65)
-        )
+        verified = multiples_fixed(ctx.trunc, w)
         out(
             "tau3 fails symbolically: witness x="
             + json.dumps(element_to_json(w))
@@ -395,9 +375,8 @@ def _repro_band_decomposition(out) -> bool:
         space = FinitePointwise(dim)
         gen = SampleGen(derive_seed(seed, f"component:{i}"), space)
         coords = gen.index_subset(dim)
-        b = band(space, coords)
         x = gen.positive()
-        if band_component(space, b, x) == band_component_join(space, b, x):
+        if band_component_holds(space, band(space, coords), x):
             matched += 1
     out(f"band components matching the corner-join oracle: {matched}/{total}")
 
@@ -406,18 +385,10 @@ def _repro_band_decomposition(out) -> bool:
     good = 0
     for i in range(total):
         gen = SampleGen(derive_seed(seed, f"project:{i}"), space)
-        coords = set(gen.index_subset(space.dim))
+        coords = gen.index_subset(space.dim)
         include = bool(gen.randint(0, 1))
-        uband = UnitizedBand(band(space, coords), include)
-        co_band = UnitizedBand(band(space, set(range(1, space.dim + 1)) - coords), not include)
         x = gen.unitized()
-        part, rest = project_band_unitized(ctx, uband, x)
-        if (
-            part + rest == x
-            and meet_u(ctx, abs_u(ctx, part), abs_u(ctx, rest)) == ctx.zero
-            and in_unitized_band(ctx, uband, part)
-            and in_unitized_band(ctx, co_band, rest)
-        ):
+        if band_projection_holds(ctx, UnitizedBand(band(space, coords), include), x):
             good += 1
     out(f"unitized band projections disjoint, summing, and member-checked: {good}/{total}")
     return matched == total and good == total

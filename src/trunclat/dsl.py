@@ -43,31 +43,9 @@ from .errors import (
     UnboundVariable,
 )
 from .rational import Rational, format_rational
-from .spaces import (
-    Element,
-    Space,
-    join,
-    leq,
-    meet,
-    neg,
-    pos,
-    scale,
-    space_from_json,
-    zero,
-)
-from .truncation import TruncationSpec, truncate, truncation_from_json
-from .unitization import (
-    UnitizationCtx,
-    UnitizedElement,
-    abs_u,
-    is_positive,
-    join_u,
-    leq_u,
-    meet_u,
-    neg_u,
-    pos_u,
-    truncate_u,
-)
+from .spaces import Element, Space, space_from_json
+from .truncation import TruncationSpec, truncation_from_json
+from .unitization import UnitizationCtx, UnitizedElement
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +427,9 @@ class EvalContext:
     unitized: bool = False
 
     @property
-    def uctx(self) -> UnitizationCtx:
-        return UnitizationCtx(self.space, self.trunc)
+    def lattice(self) -> TruncationSpec | UnitizationCtx:
+        """The lattice terms are evaluated in: the base or its unitization."""
+        return UnitizationCtx(self.space, self.trunc) if self.unitized else self.trunc
 
 
 def free_variables(term: Term) -> frozenset[str]:
@@ -468,88 +447,57 @@ def evaluate(term: Term, env: Mapping[str, object], ctx: EvalContext):
     """Exact evaluation; returns an :class:`Element` (plain space context) or a
     :class:`UnitizedElement` (unitization context, where base elements in the
     environment are embedded automatically)."""
-    if ctx.unitized:
-        return _eval_unitized(term, env, ctx, ctx.uctx)
-    return _eval_space(term, env, ctx)
+    return _eval(term, env, ctx, ctx.lattice)
 
 
-def _eval_space(term: Term, env, ctx: EvalContext) -> Element:
+def _eval(term: Term, env, ctx: EvalContext, lat):
     match term:
         case Var(name):
             if name not in env:
                 raise UnboundVariable(f"unbound variable {name!r}")
             value = env[name]
-            if not isinstance(value, Element):
-                raise EvalError(f"variable {name!r} is not a base element")
-            return value
-        case RationalLit(value):
-            if value == 0:
-                return zero(ctx.space)
-            raise OneOutsideUnitization(
-                "a nonzero scalar constant only makes sense in a unitization"
-            )
-        case One():
-            raise OneOutsideUnitization("the unit symbol requires a unitization context")
-        case Add(l, r):
-            return _eval_space(l, env, ctx) + _eval_space(r, env, ctx)
-        case Sub(l, r):
-            return _eval_space(l, env, ctx) - _eval_space(r, env, ctx)
-        case Scale(c, inner):
-            return scale(c, _eval_space(inner, env, ctx))
-        case Join(l, r):
-            return join(_eval_space(l, env, ctx), _eval_space(r, env, ctx))
-        case Meet(l, r):
-            return meet(_eval_space(l, env, ctx), _eval_space(r, env, ctx))
-        case Abs(inner):
-            return abs(_eval_space(inner, env, ctx))
-        case Pos(inner):
-            return pos(_eval_space(inner, env, ctx))
-        case Neg(inner):
-            return neg(_eval_space(inner, env, ctx))
-        case Trunc(inner):
-            value = _eval_space(inner, env, ctx)
-            if not leq(zero(ctx.space), value):
-                raise NegativeTruncArgument("tr(...) needs a positive argument")
-            return truncate(ctx.trunc, value)
-    raise TypeError(f"unknown term {term!r}")
-
-
-def _eval_unitized(term: Term, env, ctx: EvalContext, uctx: UnitizationCtx) -> UnitizedElement:
-    match term:
-        case Var(name):
-            if name not in env:
-                raise UnboundVariable(f"unbound variable {name!r}")
-            value = env[name]
+            if not ctx.unitized:
+                if not isinstance(value, Element):
+                    raise EvalError(f"variable {name!r} is not a base element")
+                return value
             if isinstance(value, Element):
-                return uctx.embed(value)
+                return lat.embed(value)
             if isinstance(value, UnitizedElement):
                 return value
             raise EvalError(f"variable {name!r} is not an element")
         case RationalLit(value):
-            return uctx.scalar(value)
+            if ctx.unitized:
+                return lat.scalar(value)
+            if value == 0:
+                return lat.zero
+            raise OneOutsideUnitization(
+                "a nonzero scalar constant only makes sense in a unitization"
+            )
         case One():
-            return uctx.one
+            if ctx.unitized:
+                return lat.one
+            raise OneOutsideUnitization("the unit symbol requires a unitization context")
         case Add(l, r):
-            return _eval_unitized(l, env, ctx, uctx) + _eval_unitized(r, env, ctx, uctx)
+            return _eval(l, env, ctx, lat) + _eval(r, env, ctx, lat)
         case Sub(l, r):
-            return _eval_unitized(l, env, ctx, uctx) - _eval_unitized(r, env, ctx, uctx)
+            return _eval(l, env, ctx, lat) - _eval(r, env, ctx, lat)
         case Scale(c, inner):
-            return c * _eval_unitized(inner, env, ctx, uctx)
+            return c * _eval(inner, env, ctx, lat)
         case Join(l, r):
-            return join_u(uctx, _eval_unitized(l, env, ctx, uctx), _eval_unitized(r, env, ctx, uctx))
+            return lat.join(_eval(l, env, ctx, lat), _eval(r, env, ctx, lat))
         case Meet(l, r):
-            return meet_u(uctx, _eval_unitized(l, env, ctx, uctx), _eval_unitized(r, env, ctx, uctx))
+            return lat.meet(_eval(l, env, ctx, lat), _eval(r, env, ctx, lat))
         case Abs(inner):
-            return abs_u(uctx, _eval_unitized(inner, env, ctx, uctx))
+            return lat.abs(_eval(inner, env, ctx, lat))
         case Pos(inner):
-            return pos_u(uctx, _eval_unitized(inner, env, ctx, uctx))
+            return lat.pos(_eval(inner, env, ctx, lat))
         case Neg(inner):
-            return neg_u(uctx, _eval_unitized(inner, env, ctx, uctx))
+            return lat.neg(_eval(inner, env, ctx, lat))
         case Trunc(inner):
-            value = _eval_unitized(inner, env, ctx, uctx)
-            if not is_positive(uctx, value):
+            value = _eval(inner, env, ctx, lat)
+            if not lat.is_positive(value):
                 raise NegativeTruncArgument("tr(...) needs a positive argument")
-            return truncate_u(uctx, value)
+            return lat.truncate(value)
     raise TypeError(f"unknown term {term!r}")
 
 
@@ -563,22 +511,16 @@ class AssertionOutcome:
 def check_assertion(assertion: Assertion, env: Mapping[str, object], ctx: EvalContext) -> AssertionOutcome:
     lhs = evaluate(assertion.lhs, env, ctx)
     rhs = evaluate(assertion.rhs, env, ctx)
-    if ctx.unitized:
-        uctx = ctx.uctx
-        less = lambda a, b: leq_u(uctx, a, b)
-        disjoint = lambda a, b: meet_u(uctx, abs_u(uctx, a), abs_u(uctx, b)) == uctx.zero
-    else:
-        less = leq
-        disjoint = lambda a, b: meet(abs(a), abs(b)) == zero(ctx.space)
+    lat = ctx.lattice
     match assertion.relation:
         case "<=":
-            holds = less(lhs, rhs)
+            holds = lat.leq(lhs, rhs)
         case ">=":
-            holds = less(rhs, lhs)
+            holds = lat.leq(rhs, lhs)
         case "==":
             holds = lhs == rhs
         case "_|_":
-            holds = disjoint(lhs, rhs)
+            holds = lat.meet(lat.abs(lhs), lat.abs(rhs)) == lat.zero
         case _:
             raise EvalError(f"unknown relation {assertion.relation!r}")
     return AssertionOutcome(holds, lhs, rhs)

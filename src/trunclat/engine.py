@@ -19,7 +19,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import EmptySet, InvalidCertificate, NegativeInput, PreconditionViolated
+from . import spaces
+from .errors import EmptySet, InvalidCertificate, NegativeInput, PreconditionViolated, SpaceMismatch
 from .rational import Rational, coerce_rational, format_rational
 from .report import LawReport
 from .sampling import Bounds, SampleGen
@@ -35,6 +36,7 @@ from .spaces import (
     check_chain_sup_additivity,
     element_to_json,
     fp_const,
+    is_positive,
     join,
     leq,
     lexpair,
@@ -63,6 +65,8 @@ from .truncation import (
     check_tau2,
     check_tau3,
     compare_fixed_sets,
+    multiples_fixed,
+    prop22_failure,
     truncate,
     truncation,
 )
@@ -72,8 +76,6 @@ from .unitization import (
     abs_u,
     check_ideal,
     check_thm11_fixedset,
-    in_fixed_u,
-    is_positive,
     join_u,
     leq_u,
     lt_u,
@@ -173,10 +175,8 @@ def archimedean_check(
     """
     if pairs:
         for x, y in pairs:
-            z = zero(x.space)
-            if x == z or not leq(z, x):
-                continue
-            if all(leq(scale(n, x), y) for n in range(1, bound + 1)):
+            # the bare order of the space: no truncation is involved
+            if x != zero(x.space) and multiples_below(spaces, x, y, bound):
                 return Witness(x, y, bound)
         return NoWitnessUpTo(bound)
     if isinstance(space, LexPlane):
@@ -186,6 +186,20 @@ def archimedean_check(
             "the first coordinate dominates: n*(0,1) <= (1,0) for every n",
         )
     return SymbolicDecision(True, None, "componentwise rational order")
+
+
+def multiples_below(lat, x, y, bound: int = 64) -> bool:
+    """Whether ``0 <= k*x <= y`` for ``k = 1..bound`` in the lattice ``lat``.
+
+    ``lat`` provides ``is_positive`` and ``leq``: a ``TruncationSpec``, a
+    ``UnitizationCtx``, or the ``spaces`` module for the bare order of a base
+    space.
+    """
+    for k in range(1, bound + 1):
+        kx = k * x
+        if not (lat.is_positive(kx) and lat.leq(kx, y)):
+            return False
+    return True
 
 
 def unitization_archimedean(ctx: LawContext) -> SymbolicDecision | None:
@@ -268,14 +282,10 @@ def check_thm33_sup(
     if ctx.trunc.unital:
         raise PreconditionViolated("the supremum characterization needs a non-unital base")
     zero_u = ctx.zero
-    if x == zero_u or not is_positive(ctx, x):
+    if x == zero_u or not ctx.is_positive(x):
         raise PreconditionViolated("x must be positive and nonzero")
     xbar = truncate_u(ctx, x)
-    valid_ys = [
-        y
-        for y in sample_ys
-        if leq(zero(ctx.space), y) and leq_u(ctx, ctx.embed(y), x)
-    ]
+    valid_ys = [y for y in sample_ys if is_positive(y) and leq_u(ctx, ctx.embed(y), x)]
     for y in valid_ys:
         if not leq_u(ctx, ctx.embed(truncate(ctx.trunc, y)), xbar):
             witness = {"x": unitized_to_json(x), "y": element_to_json(y)}
@@ -288,7 +298,7 @@ def check_thm33_sup(
         pool = list(valid_ys) + list(_thm33_targeted(ctx, x, z))
         found = None
         for y in pool:
-            if not leq(zero(ctx.space), y) or not leq_u(ctx, ctx.embed(y), x):
+            if not is_positive(y) or not leq_u(ctx, ctx.embed(y), x):
                 continue
             if not leq_u(ctx, ctx.embed(truncate(ctx.trunc, y)), z):
                 found = y
@@ -323,10 +333,10 @@ def check_remark34(
         raise PreconditionViolated("the unital supremum form needs a unital base")
     u = ctx.trunc.unit
     mu = coerce_rational(mu)
-    if mu < 0 or not leq(zero(ctx.space), x1):
+    if mu < 0 or not is_positive(x1):
         raise PreconditionViolated("x1 and mu must be positive")
     x = UnitizedElement(x1 - scale(mu, u), mu)
-    if not is_positive(ctx, x):
+    if not ctx.is_positive(x):
         raise PreconditionViolated("x1 + mu*(1-u) is not in the cone")
     sup_value = ctx.embed(meet(x1, u))
     if meet_u(ctx, x, ctx.embed(u)) != sup_value:
@@ -338,7 +348,7 @@ def check_remark34(
         return LawReport.refuted("remark34.sup", len(sample_ys), seed, witness)
     checked = 0
     for y in sample_ys:
-        if not leq(zero(ctx.space), y) or not leq_u(ctx, ctx.embed(y), x):
+        if not is_positive(y) or not leq_u(ctx, ctx.embed(y), x):
             continue
         checked += 1
         if not leq_u(ctx, ctx.embed(truncate(ctx.trunc, y)), sup_value):
@@ -382,7 +392,7 @@ def uniform_cauchy_prefix(
     ``seq`` is called once per index, in order.
     """
     eps = Fraction(eps)
-    if eps <= 0 or not is_positive(ctx, u) or lo > hi:
+    if eps <= 0 or not ctx.is_positive(u) or lo > hi:
         raise PreconditionViolated("need eps > 0, u >= 0 and lo <= hi")
     values = [seq(n) for n in range(lo, hi + 1)]
     top = bottom = values[0]
@@ -665,7 +675,7 @@ def band_component(space: FinitePointwise, b: Band, x: Element) -> Element:
     """The component of ``x >= 0`` in the band: the supremum of ``B+ ∩ [0, x]``."""
     if x.space != space:
         raise PreconditionViolated("element does not live on the given space")
-    if not leq(zero(space), x):
+    if not is_positive(x):
         raise NegativeInput("band components are defined for positive elements")
     return _mask(space, b.coords, x)
 
@@ -677,7 +687,9 @@ def band_component_join(space: FinitePointwise, b: Band, x: Element) -> Element:
     corner of ``B+ ∩ [0, x]`` is the join of the atomic corners it contains,
     so this fold of ``|B|`` joins equals the join over all ``2^|B|`` corners.
     """
-    if not leq(zero(space), x):
+    if x.space != space:
+        raise SpaceMismatch(f"{space!r} vs {x.space!r}")
+    if not is_positive(x):
         raise NegativeInput("band components are defined for positive elements")
     atoms = [_mask(space, frozenset((c,)), x) for c in b.coords]
     return sup_finite([zero(space)] + atoms)
@@ -723,6 +735,26 @@ def in_unitized_band(ctx: UnitizationCtx, b: UnitizedBand, z: UnitizedElement) -
     return all(v == 0 for v in outside) and (b.include_complement or z.lam == 0)
 
 
+def band_component_holds(space: FinitePointwise, b: Band, x: Element) -> bool:
+    """The two routes to the band component of ``x >= 0`` agree, and it lies in ``[0, x]``."""
+    got = band_component(space, b, x)
+    return got == band_component_join(space, b, x) and is_positive(got) and leq(got, x)
+
+
+def band_projection_holds(ctx: UnitizationCtx, b: UnitizedBand, x: UnitizedElement) -> bool:
+    """The projection onto ``b`` and the remainder sum to ``x``, are disjoint, and
+    lie in ``b`` and in its complementary band."""
+    everything = set(range(1, ctx.space.dim + 1))
+    complement = UnitizedBand(band(ctx.space, everything - b.base.coords), not b.include_complement)
+    part, rest = project_band_unitized(ctx, b, x)
+    return (
+        part + rest == x
+        and ctx.meet(ctx.abs(part), ctx.abs(rest)) == ctx.zero
+        and in_unitized_band(ctx, b, part)
+        and in_unitized_band(ctx, complement, rest)
+    )
+
+
 # ---------------------------------------------------------------------------
 # Law registry
 # ---------------------------------------------------------------------------
@@ -759,19 +791,11 @@ def tau3_to_report(ctx: LawContext, result: Tau3Result, seed: int) -> LawReport:
         case SymbolicPass(reason=reason):
             return LawReport.passed("tau3", 0, seed, detail=f"symbolic: {reason}")
         case SymbolicViolation(witness=w, reason=reason):
-            for k in range(1, 65):
-                nk = scale(k, w)
-                if truncate(ctx.trunc, nk) != nk:
-                    return LawReport.refuted(
-                        "tau3", 0, seed, {"x": _wit_el(w)}, detail="symbolic witness failed re-check"
-                    )
-            return LawReport.refuted(
-                "tau3",
-                0,
-                seed,
-                {"x": _wit_el(w)},
-                detail=f"symbolic, multiples verified to n=64: {reason}",
-            )
+            if multiples_fixed(ctx.trunc, w):
+                detail = f"symbolic, multiples verified to n=64: {reason}"
+            else:
+                detail = "symbolic witness failed re-check"
+            return LawReport.refuted("tau3", 0, seed, {"x": _wit_el(w)}, detail=detail)
         case ViolationWitness(witness=w, bound=bound):
             return LawReport.refuted(
                 "tau3", bound, seed, {"x": _wit_el(w)}, detail=f"fixed through n<={bound}"
@@ -797,58 +821,26 @@ def _law_lemma23_self(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
 
 
 def _law_arch_space(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
-    decision = archimedean_check(ctx.space)
-    if decision.archimedean:
-        return LawReport.passed("archimedean.space", 0, gen.seed, detail=f"symbolic: {decision.reason}")
-    x, y = decision.witness
-    for k in range(1, 65):
-        kx = scale(k, x)
-        if not (leq(zero(ctx.space), kx) and leq(kx, y)):
-            return LawReport.refuted(
-                "archimedean.space",
-                0,
-                gen.seed,
-                {"x": _wit_el(x), "y": _wit_el(y)},
-                detail="symbolic witness failed re-check",
-            )
-    return LawReport.refuted(
-        "archimedean.space",
-        0,
-        gen.seed,
-        {"x": _wit_el(x), "y": _wit_el(y)},
-        detail=f"symbolic, verified to n=64: {decision.reason}",
-    )
+    return _arch_report("archimedean.space", ctx.trunc, archimedean_check(ctx.space), gen.seed)
 
 
 def _law_arch_unitization(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
-    decision = unitization_archimedean(ctx)
+    return _arch_report("archimedean.unitization", ctx.uctx, unitization_archimedean(ctx), gen.seed)
+
+
+def _arch_report(law_id: str, lat, decision: SymbolicDecision | None, seed: int) -> LawReport:
+    """The report of a symbolic Archimedean decision; its witness is re-checked in ``lat``."""
     if decision is None:
-        return LawReport.inconclusive(
-            "archimedean.unitization", 0, gen.seed, bound=0, detail="no symbolic decision"
-        )
+        return LawReport.inconclusive(law_id, 0, seed, bound=0, detail="no symbolic decision")
     if decision.archimedean:
-        return LawReport.passed(
-            "archimedean.unitization", 0, gen.seed, detail=f"symbolic: {decision.reason}"
-        )
-    uctx = ctx.uctx
-    a, b = decision.witness
-    for k in range(1, 65):
-        ka = k * a
-        if not (is_positive(uctx, ka) and leq_u(uctx, ka, b)):
-            return LawReport.refuted(
-                "archimedean.unitization",
-                0,
-                gen.seed,
-                {"x": unitized_to_json(a), "y": unitized_to_json(b)},
-                detail="symbolic witness failed re-check",
-            )
-    return LawReport.refuted(
-        "archimedean.unitization",
-        0,
-        gen.seed,
-        {"x": unitized_to_json(a), "y": unitized_to_json(b)},
-        detail=f"symbolic, verified to n=64: {decision.reason}",
-    )
+        return LawReport.passed(law_id, 0, seed, detail=f"symbolic: {decision.reason}")
+    x, y = decision.witness
+    if multiples_below(lat, x, y):
+        detail = f"symbolic, verified to n=64: {decision.reason}"
+    else:
+        detail = "symbolic witness failed re-check"
+    witness = {"x": lat.to_json(x), "y": lat.to_json(y)}
+    return LawReport.refuted(law_id, 0, seed, witness, detail=detail)
 
 
 def _law_thm31(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
@@ -1070,7 +1062,7 @@ def _law_cone_sanity(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
     uctx = ctx.uctx
     for i in range(n):
         a = uctx.zero if i == 0 else gen.unitized()
-        if is_positive(uctx, a) and is_positive(uctx, -a) and a != uctx.zero:
+        if uctx.is_positive(a) and uctx.is_positive(-a) and a != uctx.zero:
             return LawReport.refuted(
                 "unitization.cone_sanity", n, gen.seed, {"a": unitized_to_json(a)}
             )
@@ -1082,7 +1074,7 @@ def _law_abs_lub(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
     for _ in range(n):
         a = gen.unitized()
         b = abs_u(uctx, a)
-        if not (is_positive(uctx, b) and leq_u(uctx, a, b) and leq_u(uctx, -a, b)):
+        if not (uctx.is_positive(b) and leq_u(uctx, a, b) and leq_u(uctx, -a, b)):
             return LawReport.refuted(
                 "unitization.abs_lub", n, gen.seed, {"a": unitized_to_json(a)}
             )
@@ -1108,68 +1100,34 @@ def _law_triangle(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
     return LawReport.passed("unitization.triangle", n, gen.seed)
 
 
-def _law_unitization_tau1(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
-    uctx = ctx.uctx
-    for _ in range(n):
-        a = gen.positive_unitized(uctx)
-        b = gen.positive_unitized(uctx)
-        ta = truncate_u(uctx, a)
-        tb = truncate_u(uctx, b)
-        if not (leq_u(uctx, meet_u(uctx, a, tb), ta) and leq_u(uctx, ta, a)):
-            witness = {"a": unitized_to_json(a), "b": unitized_to_json(b)}
-            return LawReport.refuted("unitization.tau1", n, gen.seed, witness)
-    return LawReport.passed("unitization.tau1", n, gen.seed)
+def _on_unitization(check: Callable, pairs: bool = True):
+    """A law body that runs a base axiom ``check`` on the unitization's positive cone.
+
+    Each trial draws one positive unitized element, or a pair of them drawn
+    first then second.
+    """
+
+    def run(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
+        uctx = ctx.uctx
+        if pairs:
+            samples = [(gen.positive_unitized(uctx), gen.positive_unitized(uctx)) for _ in range(n)]
+        else:
+            samples = [gen.positive_unitized(uctx) for _ in range(n)]
+        return check(uctx, samples, gen.seed)
+
+    return run
 
 
-def _law_unitization_tau2(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
+def _law_unitized_prop22(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
+    # the base row's pass detail is pinned, and this row has none: only the per-pair check is shared
     uctx = ctx.uctx
     for _ in range(n):
-        a = gen.positive_unitized(uctx)
-        if truncate_u(uctx, a) == uctx.zero and a != uctx.zero:
+        failure = prop22_failure(uctx, gen.positive_unitized(uctx), gen.positive_unitized(uctx))
+        if failure is not None:
+            item, data = failure
             return LawReport.refuted(
-                "unitization.tau2", n, gen.seed, {"a": unitized_to_json(a)}
+                "unitization.prop22", n, gen.seed, {"item": item, **data}, detail=f"item={item}"
             )
-    return LawReport.passed("unitization.tau2", n, gen.seed)
-
-
-def _law_unitization_prop21(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
-    uctx = ctx.uctx
-    for _ in range(n):
-        a = gen.positive_unitized(uctx)
-        b = gen.positive_unitized(uctx)
-        lhs = meet_u(uctx, a, truncate_u(uctx, b))
-        rhs = meet_u(uctx, truncate_u(uctx, a), b)
-        if lhs != rhs:
-            witness = {"a": unitized_to_json(a), "b": unitized_to_json(b)}
-            return LawReport.refuted("unitization.prop21", n, gen.seed, witness)
-    return LawReport.passed("unitization.prop21", n, gen.seed)
-
-
-def _law_unitization_prop22(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
-    uctx = ctx.uctx
-    for _ in range(n):
-        x = gen.positive_unitized(uctx)
-        y = gen.positive_unitized(uctx)
-        tx = truncate_u(uctx, x)
-        ty = truncate_u(uctx, y)
-        item = None
-        if not leq_u(uctx, tx, x):
-            item = "bound"
-        elif not leq_u(uctx, tx, truncate_u(uctx, x + y)):
-            item = "monotone"
-        elif truncate_u(uctx, tx) != tx:
-            item = "idempotent"
-        elif not in_fixed_u(uctx, tx):
-            item = "image"
-        elif not in_fixed_u(uctx, meet_u(uctx, x, ty)):
-            item = "downward"
-        elif not leq_u(
-            uctx, abs_u(uctx, tx - ty), truncate_u(uctx, abs_u(uctx, x - y))
-        ):
-            item = "birkhoff"
-        if item is not None:
-            witness = {"item": item, "x": unitized_to_json(x), "y": unitized_to_json(y)}
-            return LawReport.refuted("unitization.prop22", n, gen.seed, witness, detail=f"item={item}")
     return LawReport.passed("unitization.prop22", n, gen.seed)
 
 
@@ -1178,9 +1136,8 @@ def _law_band_component(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
     for _ in range(n):
         b = band(space, gen.index_subset(space.dim))
         x = gen.positive()
-        got = band_component(space, b, x)
-        want = band_component_join(space, b, x)
-        if got != want or not leq(zero(space), got) or not leq(got, x):
+        if not band_component_holds(space, b, x):
+            got = band_component(space, b, x)
             witness = {"coords": sorted(b.coords), "x": _wit_el(x), "got": _wit_el(got)}
             return LawReport.refuted("band.component", n, gen.seed, witness)
     return LawReport.passed("band.component", n, gen.seed)
@@ -1189,23 +1146,12 @@ def _law_band_component(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
 def _law_band_project(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
     uctx = ctx.uctx
     space = ctx.space
-    zero_u = uctx.zero
     for _ in range(n):
         coords = gen.index_subset(space.dim)
         include = bool(gen.randint(0, 1))
         b = UnitizedBand(band(space, coords), include)
-        complement = UnitizedBand(
-            band(space, set(range(1, space.dim + 1)) - set(coords)), not include
-        )
         x = gen.unitized()
-        part, rest = project_band_unitized(uctx, b, x)
-        ok = (
-            part + rest == x
-            and meet_u(uctx, abs_u(uctx, part), abs_u(uctx, rest)) == zero_u
-            and in_unitized_band(uctx, b, part)
-            and in_unitized_band(uctx, complement, rest)
-        )
-        if not ok:
+        if not band_projection_holds(uctx, b, x):
             witness = {
                 "coords": sorted(b.base.coords),
                 "include_complement": include,
@@ -1256,10 +1202,10 @@ REGISTRY: tuple[Law, ...] = (
     Law("thm62.disjoint_scalars", _law_thm62, divisor=2),
     Law("unitization.abs_lub", _law_abs_lub, divisor=5),
     Law("unitization.cone_sanity", _law_cone_sanity),
-    Law("unitization.prop21", _law_unitization_prop21, divisor=5),
-    Law("unitization.prop22", _law_unitization_prop22, divisor=5),
-    Law("unitization.tau1", _law_unitization_tau1, divisor=5),
-    Law("unitization.tau2", _law_unitization_tau2, divisor=5),
+    Law("unitization.prop21", _on_unitization(check_prop21), divisor=5),
+    Law("unitization.prop22", _law_unitized_prop22, divisor=5),
+    Law("unitization.tau1", _on_unitization(check_tau1), divisor=5),
+    Law("unitization.tau2", _on_unitization(check_tau2, pairs=False), divisor=5),
     Law("unitization.triangle", _law_triangle, divisor=2),
 )
 
@@ -1275,13 +1221,19 @@ def run_suite(
     if trials < 1:
         raise PreconditionViolated("trials must be >= 1")
     ctx = LawContext(space, trunc, bounds or Bounds())
-    reports = []
-    for law in REGISTRY:
-        if not law.applies(ctx):
-            continue
-        gen = SampleGen(derive_seed(seed, law.law_id), space, ctx.bounds)
-        report = law.run(ctx, gen, max(1, trials // law.divisor))
-        if report.law_id != law.law_id:
-            report = replace(report, law_id=law.law_id)
-        reports.append(report)
+    reports = [_run_law(ctx, law, seed, trials) for law in REGISTRY if law.applies(ctx)]
     return sorted(reports, key=lambda r: r.law_id)
+
+
+def run_law(ctx: LawContext, law_id: str, seed: int, trials: int) -> LawReport:
+    """One registered law, with the sample stream and trial count ``run_suite`` gives it."""
+    law = next(law for law in REGISTRY if law.law_id == law_id)
+    return _run_law(ctx, law, seed, trials)
+
+
+def _run_law(ctx: LawContext, law: Law, seed: int, trials: int) -> LawReport:
+    gen = SampleGen(derive_seed(seed, law.law_id), ctx.space, ctx.bounds)
+    report = law.run(ctx, gen, max(1, trials // law.divisor))
+    if report.law_id != law.law_id:
+        report = replace(report, law_id=law.law_id)
+    return report

@@ -402,6 +402,21 @@ def meet(a: Element, b: Element) -> Element:
     raise TypeError(f"unknown space {a.space!r}")
 
 
+def is_positive(a: Element) -> bool:
+    """``0 <= a``, read from the signs of the payload in one pass."""
+    p = a.payload
+    match a.space:
+        case FinitePointwise():
+            return all(v.numerator >= 0 for v in p)
+        case SparseSeq():
+            return all(v.numerator >= 0 for _, v in p)
+        case LexPlane():
+            return _lex_sign(p) >= 0
+        case IdentityLine():
+            return p.numerator >= 0
+    raise TypeError(f"unknown space {a.space!r}")
+
+
 def pos(a: Element) -> Element:
     """Positive part ``a v 0``, value by value."""
     p = a.payload

@@ -15,13 +15,20 @@ A truncation is a map on the positive cone with ``a ^ tr(b) <= tr(a) <= a``
 The fixed set of a truncation is ``{x : tr(|x|) = |x|}``; two truncations on
 the same space agree exactly when their fixed sets agree, which is what
 :func:`compare_fixed_sets` probes on samples.
+
+A :class:`TruncationSpec` is the base lattice with its truncation, and
+:class:`~trunclat.unitization.UnitizationCtx` is the unitization with the
+meet with the adjoined unit.  Both carry one set of lattice methods
+(``zero``, ``leq``, ``join``, ``meet``, ``abs``, ``pos``, ``neg``,
+``is_positive``, ``truncate``, ``in_fixed`` and ``to_json``), so the axiom
+checks below, the DSL evaluator and the repros run on either lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import DescriptorError, NegativeInput, PreconditionViolated, SpaceMismatch
 from .report import LawReport
@@ -33,13 +40,19 @@ from .spaces import (
     SparseSeq,
     element_from_json,
     element_to_json,
+    is_positive,
+    join,
     leq,
     lexpair,
     line,
     meet,
-    scale,
+    neg,
+    pos,
     zero,
 )
+
+if TYPE_CHECKING:
+    from .unitization import UnitizationCtx
 
 _ONE = Fraction(1)
 
@@ -111,6 +124,42 @@ class TruncationSpec:
                 return u
         return None
 
+    # The lattice interface shared with UnitizationCtx.
+
+    @property
+    def zero(self) -> Element:
+        return zero(self.space)
+
+    def leq(self, x: Element, y: Element) -> bool:
+        return leq(x, y)
+
+    def join(self, x: Element, y: Element) -> Element:
+        return join(x, y)
+
+    def meet(self, x: Element, y: Element) -> Element:
+        return meet(x, y)
+
+    def abs(self, x: Element) -> Element:
+        return abs(x)
+
+    def pos(self, x: Element) -> Element:
+        return pos(x)
+
+    def neg(self, x: Element) -> Element:
+        return neg(x)
+
+    def is_positive(self, x: Element) -> bool:
+        return is_positive(x)
+
+    def truncate(self, x: Element) -> Element:
+        return truncate(self, x)
+
+    def in_fixed(self, x: Element) -> bool:
+        return in_fixed_set(self, x)
+
+    def to_json(self, x: Element):
+        return element_to_json(x)
+
 
 def truncation(space: Space, kind: TruncationKind) -> TruncationSpec:
     """Validated constructor: each kind is only available on its home space."""
@@ -118,7 +167,7 @@ def truncation(space: Space, kind: TruncationKind) -> TruncationSpec:
         case MeetWithUnit(unit=u):
             if u.space != space:
                 raise SpaceMismatch("truncation unit lives in a different space")
-            if not leq(zero(space), u):
+            if not is_positive(u):
                 raise ValueError("truncation unit must be >= 0")
         case MeetWithOne():
             if not isinstance(space, SparseSeq):
@@ -140,7 +189,7 @@ def truncate(t: TruncationSpec, x: Element) -> Element:
     """Apply the truncation to ``x >= 0``; the result satisfies ``0 <= tr(x) <= x``."""
     if x.space is not t.space and x.space != t.space:
         raise SpaceMismatch("element does not live on the truncation's space")
-    if not leq(zero(t.space), x):
+    if not is_positive(x):
         raise NegativeInput(f"truncate requires a positive element, got {x!r}")
     match t.kind:
         case MeetWithUnit(unit=u):
@@ -171,35 +220,31 @@ def in_fixed_set(t: TruncationSpec, x: Element) -> bool:
 # Axiom and property checks
 # ---------------------------------------------------------------------------
 
-def _ejson(x: Element):
-    return element_to_json(x)
-
-
 def check_tau1(
-    t: TruncationSpec, pairs: Sequence[tuple[Element, Element]], seed: int = 0
+    t: TruncationSpec | UnitizationCtx, pairs: Sequence[tuple], seed: int = 0
 ) -> LawReport:
     """``a ^ tr(b) <= tr(a) <= a`` over sampled positive pairs."""
     pairs = list(pairs)
     if not pairs:
         raise PreconditionViolated("tau1 needs at least one sample pair")
     for a, b in pairs:
-        ta = truncate(t, a)
-        tb = truncate(t, b)
-        if not leq(meet(a, tb), ta) or not leq(ta, a):
-            witness = {"a": _ejson(a), "b": _ejson(b), "tr_a": _ejson(ta), "tr_b": _ejson(tb)}
+        ta = t.truncate(a)
+        tb = t.truncate(b)
+        if not t.leq(t.meet(a, tb), ta) or not t.leq(ta, a):
+            witness = {"a": t.to_json(a), "b": t.to_json(b), "tr_a": t.to_json(ta), "tr_b": t.to_json(tb)}
             return LawReport.refuted("tau1", len(pairs), seed, witness)
     return LawReport.passed("tau1", len(pairs), seed)
 
 
-def check_tau2(t: TruncationSpec, samples: Sequence[Element], seed: int = 0) -> LawReport:
+def check_tau2(t: TruncationSpec | UnitizationCtx, samples: Sequence, seed: int = 0) -> LawReport:
     """``tr(a) = 0  =>  a = 0`` over positive samples."""
     samples = list(samples)
     if not samples:
         raise PreconditionViolated("tau2 needs at least one sample")
-    z = zero(t.space)
+    z = t.zero
     for a in samples:
-        if truncate(t, a) == z and a != z:
-            return LawReport.refuted("tau2", len(samples), seed, {"a": _ejson(a)})
+        if t.truncate(a) == z and a != z:
+            return LawReport.refuted("tau2", len(samples), seed, {"a": t.to_json(a)})
     return LawReport.passed("tau2", len(samples), seed)
 
 
@@ -273,30 +318,33 @@ def check_tau3(
             )
         case FixtureTruncation():
             for a in positive:
-                fixed_through_bound = True
-                for n in range(1, bound + 1):
-                    na = scale(n, a)
-                    if truncate(t, na) != na:
-                        fixed_through_bound = False
-                        break
-                if fixed_through_bound:
+                if multiples_fixed(t, a, bound):
                     return ViolationWitness(a, bound)
             return NoViolationUpTo(bound)
     raise TypeError(f"unknown truncation kind {t.kind!r}")
 
 
+def multiples_fixed(t: TruncationSpec | UnitizationCtx, w, bound: int = 64) -> bool:
+    """Whether ``tr(k*w) = k*w`` for ``k = 1..bound``."""
+    for k in range(1, bound + 1):
+        kw = k * w
+        if t.truncate(kw) != kw:
+            return False
+    return True
+
+
 def check_prop21(
-    t: TruncationSpec, pairs: Sequence[tuple[Element, Element]], seed: int = 0
+    t: TruncationSpec | UnitizationCtx, pairs: Sequence[tuple], seed: int = 0
 ) -> LawReport:
     """The exchange identity ``a ^ tr(b) = tr(a) ^ b`` over sampled positive pairs."""
     pairs = list(pairs)
     if not pairs:
         raise PreconditionViolated("prop21 needs at least one sample pair")
     for a, b in pairs:
-        lhs = meet(a, truncate(t, b))
-        rhs = meet(truncate(t, a), b)
+        lhs = t.meet(a, t.truncate(b))
+        rhs = t.meet(t.truncate(a), b)
         if lhs != rhs:
-            witness = {"a": _ejson(a), "b": _ejson(b), "lhs": _ejson(lhs), "rhs": _ejson(rhs)}
+            witness = {"a": t.to_json(a), "b": t.to_json(b), "lhs": t.to_json(lhs), "rhs": t.to_json(rhs)}
             return LawReport.refuted("prop21", len(pairs), seed, witness)
     return LawReport.passed("prop21", len(pairs), seed)
 
@@ -304,41 +352,43 @@ def check_prop21(
 _PROP22_ITEMS = ("bound", "monotone", "idempotent", "image", "downward", "birkhoff")
 
 
-def check_prop22(
-    t: TruncationSpec, pairs: Sequence[tuple[Element, Element]], seed: int = 0
-) -> LawReport:
-    """The six elementary truncation properties over sampled positive pairs.
+def prop22_failure(t: TruncationSpec | UnitizationCtx, x, y) -> tuple[str, dict] | None:
+    """The first of the six elementary properties that the positive pair ``(x, y)`` breaks.
 
-    Per pair ``(x, y)``: tr(x) <= x; monotonicity along ``x <= x + y``;
-    idempotency; the image lies in the fixed set (and fixed points are their
-    own truncation); the fixed set is downward closed; and the Birkhoff-type
-    inequality ``|tr(x) - tr(y)| <= tr(|x - y|)``.
+    In order: tr(x) <= x; monotonicity along ``x <= x + y``; idempotency; the
+    image lies in the fixed set (and fixed points are their own truncation);
+    the fixed set is downward closed; and the Birkhoff-type inequality
+    ``|tr(x) - tr(y)| <= tr(|x - y|)``.  Returns the item's name and its
+    witness, or None when all six hold.
     """
+    tx = t.truncate(x)
+    ty = t.truncate(y)
+    if not t.leq(tx, x):
+        return "bound", {"x": t.to_json(x)}
+    bigger = x + y
+    if not t.leq(tx, t.truncate(bigger)):
+        return "monotone", {"x": t.to_json(x), "y": t.to_json(bigger)}
+    if t.truncate(tx) != tx:
+        return "idempotent", {"x": t.to_json(x), "tr_x": t.to_json(tx)}
+    if not t.in_fixed(tx) or (t.in_fixed(x) and tx != x):
+        return "image", {"x": t.to_json(x), "tr_x": t.to_json(tx)}
+    below_fixed = t.meet(x, ty)
+    if not t.in_fixed(below_fixed):
+        return "downward", {"x": t.to_json(below_fixed), "y": t.to_json(ty)}
+    if not t.leq(t.abs(tx - ty), t.truncate(t.abs(x - y))):
+        return "birkhoff", {"x": t.to_json(x), "y": t.to_json(y)}
+    return None
+
+
+def check_prop22(
+    t: TruncationSpec | UnitizationCtx, pairs: Sequence[tuple], seed: int = 0
+) -> LawReport:
+    """The six elementary truncation properties (:func:`prop22_failure`) over sampled positive pairs."""
     pairs = list(pairs)
     if not pairs:
         raise PreconditionViolated("prop22 needs at least one sample pair")
-
-    def failing_item(x: Element, y: Element) -> tuple[str, dict] | None:
-        tx = truncate(t, x)
-        ty = truncate(t, y)
-        if not leq(tx, x):
-            return "bound", {"x": _ejson(x)}
-        bigger = x + y
-        if not leq(tx, truncate(t, bigger)):
-            return "monotone", {"x": _ejson(x), "y": _ejson(bigger)}
-        if truncate(t, tx) != tx:
-            return "idempotent", {"x": _ejson(x), "tr_x": _ejson(tx)}
-        if not in_fixed_set(t, tx) or (in_fixed_set(t, x) and tx != x):
-            return "image", {"x": _ejson(x), "tr_x": _ejson(tx)}
-        below_fixed = meet(x, ty)
-        if not in_fixed_set(t, below_fixed):
-            return "downward", {"x": _ejson(below_fixed), "y": _ejson(ty)}
-        if not leq(abs(tx - ty), truncate(t, abs(x - y))):
-            return "birkhoff", {"x": _ejson(x), "y": _ejson(y)}
-        return None
-
     for x, y in pairs:
-        failure = failing_item(x, y)
+        failure = prop22_failure(t, x, y)
         if failure is not None:
             item, data = failure
             return LawReport.refuted(
@@ -391,8 +441,8 @@ def compare_fixed_sets(
     witness = {
         "fixed_sets_agree": fixed_agree,
         "truncations_agree": trunc_agree,
-        "fixed_set_witness": None if fixed_witness is None else _ejson(fixed_witness),
-        "truncation_witness": None if trunc_witness is None else _ejson(trunc_witness),
+        "fixed_set_witness": None if fixed_witness is None else element_to_json(fixed_witness),
+        "truncation_witness": None if trunc_witness is None else element_to_json(trunc_witness),
     }
     return LawReport.refuted("lemma23.compare", len(enriched), seed, witness)
 

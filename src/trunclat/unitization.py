@@ -16,6 +16,13 @@ above is the single source of truth for the whole order structure; its
 correctness is cross-checked in the test suite against an independent
 pointwise oracle.  The truncation on the unitization is the meet with the
 adjoined unit.
+
+:class:`UnitizationCtx` carries the same lattice methods as the base
+:class:`~trunclat.truncation.TruncationSpec` (``zero``, ``leq``, ``join``,
+``meet``, ``abs``, ``pos``, ``neg``, ``is_positive``, ``truncate``,
+``in_fixed`` and ``to_json``), each a call to the ``_u`` function below, so the
+axiom checks, the DSL evaluator and the repros run on the unitization
+unchanged.
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ from .spaces import (
     element_from_json,
     element_to_json,
     join,
-    leq,
     line,
     neg,
     pos,
@@ -97,6 +103,38 @@ class UnitizationCtx:
     def scalar(self, lam) -> UnitizedElement:
         return UnitizedElement(zero(self.space), coerce_rational(lam))
 
+    # The lattice interface shared with TruncationSpec.
+
+    def leq(self, a: UnitizedElement, b: UnitizedElement) -> bool:
+        return leq_u(self, a, b)
+
+    def join(self, a: UnitizedElement, b: UnitizedElement) -> UnitizedElement:
+        return join_u(self, a, b)
+
+    def meet(self, a: UnitizedElement, b: UnitizedElement) -> UnitizedElement:
+        return meet_u(self, a, b)
+
+    def abs(self, a: UnitizedElement) -> UnitizedElement:
+        return abs_u(self, a)
+
+    def pos(self, a: UnitizedElement) -> UnitizedElement:
+        return pos_u(self, a)
+
+    def neg(self, a: UnitizedElement) -> UnitizedElement:
+        return neg_u(self, a)
+
+    def is_positive(self, a: UnitizedElement) -> bool:
+        return is_positive(self, a)
+
+    def truncate(self, a: UnitizedElement) -> UnitizedElement:
+        return truncate_u(self, a)
+
+    def in_fixed(self, a: UnitizedElement) -> bool:
+        return in_fixed_u(self, a)
+
+    def to_json(self, a: UnitizedElement) -> dict:
+        return unitized_to_json(a)
+
 
 def unitize(trunc: TruncationSpec) -> UnitizationCtx:
     return UnitizationCtx(trunc.space, trunc)
@@ -116,7 +154,9 @@ def is_positive(ctx: UnitizationCtx, a: UnitizedElement) -> bool:
     if sign < 0:
         return False
     if not sign:
-        return leq(zero(ctx.space), a.e)
+        if a.e.space is not ctx.space and a.e.space != ctx.space:
+            raise SpaceMismatch(f"{ctx.space!r} vs {a.e.space!r}")
+        return ctx.trunc.is_positive(a.e)
     return in_fixed_set(ctx.trunc, scale(1 / a.lam, neg(a.e)))
 
 

@@ -130,6 +130,24 @@ def test_check_assertions_file_with_header(tmp_path, capsys):
                    "--assertions", str(law)) == 0
 
 
+def _one_error_line(capsys) -> bool:
+    err = capsys.readouterr().err
+    return len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_check_out_to_a_missing_directory_exits_two(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "report.txt"
+    assert run_cli("check", "--trials", "1", "--out", str(out_path)) == 2
+    assert _one_error_line(capsys)
+
+
+def test_check_assertions_file_not_utf8_exits_two(tmp_path, capsys):
+    law = tmp_path / "latin1.law"
+    law.write_bytes("tr(|x|) <= |x|  # \xe9\n".encode("latin-1"))
+    assert run_cli("check", "--trials", "1", "--assertions", str(law)) == 2
+    assert _one_error_line(capsys)
+
+
 def test_repro_unknown_id(capsys):
     assert run_cli("repro", "nope") == 2
 

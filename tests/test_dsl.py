@@ -3,6 +3,7 @@ from fractions import Fraction
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trunclat import (
     EvalContext,
@@ -27,7 +28,7 @@ from trunclat import (
     sparse,
     zero,
 )
-from trunclat.dsl import MAX_DEPTH, Abs, Add, Join, Meet, One, Pos, RationalLit, Scale, Sub, Trunc, Var
+from trunclat.dsl import MAX_DEPTH, Abs, Add, Join, Meet, Neg, One, Pos, RationalLit, Scale, Sub, Trunc, Var
 from trunclat.engine import REGISTRY
 
 CATALOG = catalog()
@@ -135,6 +136,53 @@ def test_free_variables():
 
 
 # -- evaluation ------------------------------------------------------------------
+
+def _names_a_base_element(term) -> bool:
+    """No ``1`` and no nonzero scalar literal: the term denotes a base element."""
+    match term:
+        case One():
+            return False
+        case RationalLit(value):
+            return value == 0
+        case Add(l, r) | Sub(l, r) | Join(l, r) | Meet(l, r):
+            return _names_a_base_element(l) and _names_a_base_element(r)
+        case Scale(_, inner) | Abs(inner) | Pos(inner) | Neg(inner) | Trunc(inner):
+            return _names_a_base_element(inner)
+    return True
+
+
+def _base_term(rng: random.Random):
+    while True:
+        term = random_term(rng, max_depth=4)
+        if _names_a_base_element(term):
+            return term
+
+
+def _value_or_negative_trunc(term, env, ctx):
+    try:
+        return evaluate(term, env, ctx)
+    except NegativeTruncArgument:
+        return NegativeTruncArgument
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(min_value=0, max_value=2**32))
+def test_unitized_evaluation_extends_the_base(name, seed):
+    # the base is a sublattice of its unitization, and the unitized truncation
+    # agrees with the base truncation on base elements
+    ctx = CATALOG[name]
+    rng = random.Random(seed)
+    term = _base_term(rng)
+    gen = SampleGen(seed, ctx.space)
+    env = {v: gen.element() for v in ("x", "y", "z")}
+    base = _value_or_negative_trunc(term, env, EvalContext(ctx.space, ctx.trunc))
+    unitized = _value_or_negative_trunc(term, env, EvalContext(ctx.space, ctx.trunc, unitized=True))
+    if base is NegativeTruncArgument:
+        assert unitized is NegativeTruncArgument, render(term)
+    else:
+        assert unitized == ctx.uctx.embed(base), render(term)
+
 
 def test_eval_examples():
     assert evaluate(parse("tr(x)"), {"x": sparse({1: 2})}, SPARSE_CTX) == sparse({1: 1})

@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from trunclat import (
     NegativeInput,
     PreconditionViolated,
     SampleGen,
+    SpaceMismatch,
     SparseSeq,
     UnitizedBand,
     UnitizedElement,
@@ -31,6 +33,8 @@ from trunclat import (
     eps_start_index,
     expected_violations,
     fp,
+    is_positive,
+    LawReport,
     fp_const,
     harmonic_prefix,
     in_unitized_band,
@@ -154,6 +158,33 @@ def test_expected_violations_are_derived_from_the_deciders():
     )
     on_second_axis = engine.LawContext(lex, truncation(lex, MeetWithUnit(lexpair(0, 1))))
     assert "tau3" not in expected_violations(on_second_axis)
+
+
+def _refutes(t, samples, seed=0):
+    return LawReport.refuted("patched", len(samples), seed, {})
+
+
+def _breaks_an_item(t, x, y):
+    return "bound", {}
+
+
+@pytest.mark.parametrize(
+    "law_id, shared, replacement",
+    [
+        ("tau1", "check_tau1", _refutes),
+        ("tau2", "check_tau2", _refutes),
+        ("prop21", "check_prop21", _refutes),
+        ("prop22", "prop22_failure", _breaks_an_item),
+    ],
+)
+def test_each_axiom_is_stated_once(law_id, shared, replacement, monkeypatch):
+    # patching the function object reaches every caller that holds it, however it was imported
+    check = getattr(importlib.import_module("trunclat.truncation"), shared)
+    monkeypatch.setattr(check, "__code__", replacement.__code__)
+    ctx = CATALOG["sparse_seq"]
+    verdicts = {r.law_id: r.verdict for r in run_suite(ctx.space, ctx.trunc, seed=3, trials=10)}
+    assert verdicts[law_id] == "refuted"
+    assert verdicts["unitization." + law_id] == "refuted"
 
 
 # -- uniform convergence -------------------------------------------------------
@@ -500,6 +531,14 @@ def test_band_component_join_is_linear(monkeypatch):
     assert band_component_join(space, b, x) == want
     with pytest.raises(NegativeInput):
         band_component_join(space, b, fp_const(40, -1))
+
+
+def test_positivity_checks_reject_an_element_of_another_space():
+    space = FinitePointwise(3)
+    with pytest.raises(SpaceMismatch):
+        band_component_join(space, band(space, {1}), fp(1, 2))
+    with pytest.raises(SpaceMismatch):
+        is_positive(SPARSE, UnitizedElement(lexpair(1, 0), Fraction(0)))
 
 
 def test_project_band_unitized_example():

@@ -2,7 +2,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     ref_abs,
@@ -49,6 +49,7 @@ from trunclat import (
     truncate,
     zero,
 )
+from trunclat import spaces
 
 SPACES = (FinitePointwise(3), SparseSeq(), LexPlane(), IdentityLine())
 
@@ -310,6 +311,9 @@ def kernel_pairs(draw):
 
 @settings(max_examples=600, derandomize=True, deadline=None)
 @given(kernel_pairs())
+# lex pairs whose sign the second coordinate decides, and ones it must not decide
+@example((lexpair(0, -3), lexpair(2, -5)))
+@example((lexpair(Fraction(7, 2), -1), lexpair(0, Fraction(-1, 9))))
 def test_order_kernel_matches_fraction_operators(pair):
     a, b = pair
     assert leq(a, b) == ref_leq(a, b)
@@ -320,6 +324,7 @@ def test_order_kernel_matches_fraction_operators(pair):
         assert pos(x) == ref_pos(x)
         assert neg(x) == ref_neg(x)
         assert abs(x) == ref_abs(x)
+        assert spaces.is_positive(x) == ref_leq(zero(x.space), x)
 
 
 def test_order_kernel_never_uses_fraction_rich_comparisons(monkeypatch):
@@ -335,7 +340,7 @@ def test_order_kernel_never_uses_fraction_rich_comparisons(monkeypatch):
     def outputs(ctx, xs, ps, us):
         out = []
         for a, b in zip(xs, xs[1:]):
-            out += [leq(a, b), join(a, b), meet(a, b), pos(a), neg(a), abs(a)]
+            out += [leq(a, b), join(a, b), meet(a, b), pos(a), neg(a), abs(a), spaces.is_positive(a)]
         out += [truncate(ctx.trunc, p) for p in ps]
         out += [(is_positive(ctx.uctx, u), abs_u(ctx.uctx, u)) for u in us]
         return out
