@@ -33,6 +33,7 @@ from .engine import (
     band_component_holds,
     band_projection_holds,
     catalog,
+    cataloged_truncation,
     check_thm33_sup,
     default_certified_fixtures,
     default_limit_candidates,
@@ -51,25 +52,17 @@ from .report import REFUTED, LawReport, render_table, reports_to_jsonl
 from .sampling import SampleGen
 from .spaces import (
     FinitePointwise,
-    IdentityLine,
-    LexPlane,
     SparseSeq,
     element_from_json,
     element_to_json,
-    fp_const,
     space_from_json,
     sparse,
 )
 from .truncation import (
-    IdentityTruncation,
-    LexMeetZeroOne,
-    MeetWithOne,
-    MeetWithUnit,
     SymbolicPass,
     SymbolicViolation,
     check_tau3,
     truncate,
-    truncation,
     truncation_from_json,
 )
 from .unitization import leq_u, meet_u, truncate_u, unitize, unitized_from_json, unitized_to_json
@@ -113,14 +106,7 @@ def _parse_space(text: str | None):
 
 def _parse_trunc(space, text: str | None):
     if text is None:
-        defaults = {
-            SparseSeq: MeetWithOne(),
-            LexPlane: LexMeetZeroOne(),
-            IdentityLine: IdentityTruncation(),
-        }
-        if type(space) in defaults:
-            return truncation(space, defaults[type(space)])
-        return truncation(space, MeetWithUnit(fp_const(space.dim, 1)))
+        return cataloged_truncation(space)
     text = text.strip()
     try:
         if text.startswith("{"):
@@ -129,7 +115,7 @@ def _parse_trunc(space, text: str | None):
             return truncation_from_json(space, {"kind": text})
         if text == "meet_with_unit":
             if isinstance(space, FinitePointwise):
-                return truncation(space, MeetWithUnit(fp_const(space.dim, 1)))
+                return cataloged_truncation(space)
             raise CliError(
                 "meet_with_unit needs an explicit unit on this space; pass a JSON descriptor"
             )

@@ -50,7 +50,6 @@ from .spaces import (
 )
 from .truncation import (
     IdentityTruncation,
-    LexMeetZeroOne,
     MeetWithOne,
     MeetWithUnit,
     NoViolationUpTo,
@@ -104,20 +103,31 @@ class LawContext:
         return UnitizationCtx(self.space, self.trunc)
 
 
+def cataloged_truncation(space: Space) -> TruncationSpec:
+    """Each space's default truncation: the one the catalog and ``check`` use."""
+    match space:
+        case SparseSeq():
+            kind = MeetWithOne()
+        case LexPlane():
+            kind = MeetWithUnit(lexpair(0, 1))
+        case IdentityLine():
+            kind = IdentityTruncation()
+        case FinitePointwise(dim=dim):
+            kind = MeetWithUnit(fp_const(dim, 1))
+        case _:
+            raise TypeError(f"no cataloged truncation on {space!r}")
+    return truncation(space, kind)
+
+
 def catalog(fp_dim: int = 3) -> dict[str, LawContext]:
     """The four cataloged (space, truncation) pairs."""
-    sparse_space = SparseSeq()
-    lex_space = LexPlane()
-    line_space = IdentityLine()
-    fp_space = FinitePointwise(fp_dim)
-    return {
-        "sparse_seq": LawContext(sparse_space, truncation(sparse_space, MeetWithOne())),
-        "lex_plane": LawContext(lex_space, truncation(lex_space, LexMeetZeroOne())),
-        "identity_line": LawContext(line_space, truncation(line_space, IdentityTruncation())),
-        "finite_pointwise": LawContext(
-            fp_space, truncation(fp_space, MeetWithUnit(fp_const(fp_dim, 1)))
-        ),
+    spaces = {
+        "sparse_seq": SparseSeq(),
+        "lex_plane": LexPlane(),
+        "identity_line": IdentityLine(),
+        "finite_pointwise": FinitePointwise(fp_dim),
     }
+    return {name: LawContext(space, cataloged_truncation(space)) for name, space in spaces.items()}
 
 
 def expected_violations(ctx: LawContext) -> frozenset[str]:
@@ -215,12 +225,6 @@ def unitization_archimedean(ctx: LawContext) -> SymbolicDecision | None:
         case MeetWithOne():
             return SymbolicDecision(
                 True, None, "pointwise order over the indices plus a point at infinity"
-            )
-        case LexMeetZeroOne():
-            return SymbolicDecision(
-                False,
-                (uctx.embed(lexpair(0, 1)), uctx.embed(lexpair(1, 0))),
-                "the base is already non-Archimedean",
             )
         case IdentityTruncation():
             return SymbolicDecision(
@@ -479,7 +483,7 @@ def repro_example43(
         if not ok:
             return LawReport.refuted(law_id, len(candidates), seed, {"cauchy": cauchy_rows})
 
-    refuted_rows = []
+    # each candidate either returns a refuted report below or is ruled out as a limit
     for cand in candidates:
         if cand.lam != 0:
             lam_abs = abs(cand.lam)
@@ -491,13 +495,6 @@ def repro_example43(
                 if d.lam != lam_abs or leq_u(ctx, d, eps_r * one):
                     witness = {"candidate": unitized_to_json(cand), "n": n}
                     return LawReport.refuted(law_id, len(candidates), seed, witness)
-            refuted_rows.append(
-                {
-                    "candidate": unitized_to_json(cand),
-                    "eps": format_rational(eps_r),
-                    "reason": "scalar gap at infinity",
-                }
-            )
         else:
             n0 = max(support(cand.e), default=0)
             j = n0 + 1
@@ -509,14 +506,7 @@ def repro_example43(
                 if coeff(d.e, j) != gap or leq_u(ctx, d, eps_r * one):
                     witness = {"candidate": unitized_to_json(cand), "n": n, "index": j}
                     return LawReport.refuted(law_id, len(candidates), seed, witness)
-            refuted_rows.append(
-                {
-                    "candidate": unitized_to_json(cand),
-                    "eps": format_rational(eps_r),
-                    "reason": f"gap 1/{j} at index {j}",
-                }
-            )
-    detail = f"cauchy_windows={len(cauchy_rows)} candidates_refuted={len(refuted_rows)}"
+    detail = f"cauchy_windows={len(cauchy_rows)} candidates_refuted={len(candidates)}"
     return LawReport.passed(law_id, len(candidates), seed, detail=detail)
 
 
@@ -873,7 +863,6 @@ def _law_thm31(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
 
 
 def _law_chain_decompose(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
-    z = zero(ctx.space)
     for _ in range(n):
         u = gen.element()
         v = gen.element()
@@ -884,9 +873,9 @@ def _law_chain_decompose(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
         for i, x in enumerate(chain):
             if us[i] + vs[i] != x:
                 ok = False
-            if not (leq(z, us[i]) and leq(us[i], abs(u))):
+            if not (is_positive(us[i]) and leq(us[i], abs(u))):
                 ok = False
-            if not (leq(z, vs[i]) and leq(vs[i], abs(v))):
+            if not (is_positive(vs[i]) and leq(vs[i], abs(v))):
                 ok = False
             if i and not (leq(us[i - 1], us[i]) and leq(vs[i - 1], vs[i])):
                 ok = False
@@ -1031,7 +1020,7 @@ def _law_thm11_density(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
         candidates.extend(meet(gen.positive(), abs(a.e)) for _ in range(2))
         witness = None
         for x in candidates:
-            if x != z and leq(z, x) and leq_u(uctx, uctx.embed(x), a):
+            if x != z and is_positive(x) and leq_u(uctx, uctx.embed(x), a):
                 witness = x
                 break
         if witness is None:

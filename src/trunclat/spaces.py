@@ -491,9 +491,8 @@ def decompose_chain(
     au = abs(u)
     av = abs(v)
     cap = add(au, av)
-    z = zero(u.space)
     for i, x in enumerate(items):
-        if not leq(z, x) or not leq(x, cap):
+        if not is_positive(x) or not leq(x, cap):
             raise PreconditionViolated(f"chain element {i} is not within [0, |u|+|v|]")
     _check_increasing(items, "chain")
     minus_au = -au

@@ -3,11 +3,11 @@
 A truncation is a map on the positive cone with ``a ^ tr(b) <= tr(a) <= a``
 (tau1) and ``tr(a) = 0  =>  a = 0`` (tau2).  The built-in kinds are:
 
-* ``MeetWithUnit(u)``: ``x |-> x ^ u`` for a fixed ``u >= 0`` (unital);
+* ``MeetWithUnit(u)``: ``x |-> x ^ u`` for a fixed ``u >= 0`` (unital); the
+  lexicographic plane's truncation is the one with ``u = (0,1)``, whose wire
+  alias is ``lex_meet_zero_one``;
 * ``MeetWithOne``: componentwise minimum with the constant 1 on ``SparseSeq``
   (non-unital: the constant-one sequence has infinite support);
-* ``LexMeetZeroOne``: ``x |-> x ^ (0,1)`` on the lexicographic plane, which is
-  the unital truncation with unit ``(0,1)``;
 * ``IdentityTruncation``: ``x |-> x`` on ``IdentityLine`` (non-unital, and not
   an Archimedean truncation: every multiple of a fixed point stays fixed);
 * ``FixtureTruncation``: an arbitrary callable, for tests and bounded searches.
@@ -72,11 +72,6 @@ class MeetWithOne:
 
 
 @dataclass(frozen=True)
-class LexMeetZeroOne:
-    pass
-
-
-@dataclass(frozen=True)
 class IdentityTruncation:
     pass
 
@@ -90,9 +85,7 @@ class FixtureTruncation:
     unit: Element | None = None
 
 
-TruncationKind = (
-    MeetWithUnit | MeetWithOne | LexMeetZeroOne | IdentityTruncation | FixtureTruncation
-)
+TruncationKind = MeetWithUnit | MeetWithOne | IdentityTruncation | FixtureTruncation
 
 
 @dataclass(frozen=True)
@@ -104,23 +97,12 @@ class TruncationSpec:
 
     @property
     def unital(self) -> bool:
-        match self.kind:
-            case MeetWithUnit():
-                return True
-            case LexMeetZeroOne():
-                return True
-            case FixtureTruncation(unit=u):
-                return u is not None
-        return False
+        return self.unit is not None
 
     @property
     def unit(self) -> Element | None:
         match self.kind:
-            case MeetWithUnit(unit=u):
-                return u
-            case LexMeetZeroOne():
-                return lexpair(0, 1)
-            case FixtureTruncation(unit=u):
+            case MeetWithUnit(unit=u) | FixtureTruncation(unit=u):
                 return u
         return None
 
@@ -172,9 +154,6 @@ def truncation(space: Space, kind: TruncationKind) -> TruncationSpec:
         case MeetWithOne():
             if not isinstance(space, SparseSeq):
                 raise ValueError("meet_with_one is only defined on SparseSeq")
-        case LexMeetZeroOne():
-            if not isinstance(space, LexPlane):
-                raise ValueError("lex_meet_zero_one is only defined on LexPlane")
         case IdentityTruncation():
             if not isinstance(space, IdentityLine):
                 raise ValueError("the identity truncation is only cataloged on IdentityLine")
@@ -199,8 +178,6 @@ def truncate(t: TruncationSpec, x: Element) -> Element:
             return Element(
                 x.space, tuple((k, v if v.numerator < v.denominator else _ONE) for k, v in x.payload)
             )
-        case LexMeetZeroOne():
-            return meet(x, lexpair(0, 1))
         case IdentityTruncation():
             return x
         case FixtureTruncation(fn=fn):
@@ -299,10 +276,6 @@ def check_tau3(
             return SymbolicPass(
                 "n*x <= 1 componentwise for every n forces each coordinate to 0"
             )
-        case LexMeetZeroOne():
-            return SymbolicPass(
-                "n*x <= (0,1) for every n forces the first coordinate to 0, then the second"
-            )
         case MeetWithUnit(unit=u):
             if isinstance(t.space, LexPlane):
                 if u.payload[0] > 0:
@@ -310,8 +283,9 @@ def check_tau3(
                         lexpair(0, 1),
                         "n*(0,1) <= u holds for every n because the unit's first coordinate is positive",
                     )
+                u0, u1 = u.payload
                 return SymbolicPass(
-                    "the unit lies on the second axis, so multiples escape it coordinatewise"
+                    f"n*x <= ({u0},{u1}) for every n forces the first coordinate to 0, then the second"
                 )
             return SymbolicPass(
                 "n*x <= u componentwise for every n forces each coordinate to 0"
@@ -457,8 +431,6 @@ def truncation_to_json(t: TruncationSpec) -> dict:
             return {"kind": "meet_with_unit", "unit": element_to_json(u)}
         case MeetWithOne():
             return {"kind": "meet_with_one"}
-        case LexMeetZeroOne():
-            return {"kind": "lex_meet_zero_one"}
         case IdentityTruncation():
             return {"kind": "identity"}
         case FixtureTruncation(name=name):
@@ -478,7 +450,9 @@ def truncation_from_json(space: Space, obj) -> TruncationSpec:
         if kind == "meet_with_one":
             return truncation(space, MeetWithOne())
         if kind == "lex_meet_zero_one":
-            return truncation(space, LexMeetZeroOne())
+            if not isinstance(space, LexPlane):
+                raise ValueError("lex_meet_zero_one is only defined on LexPlane")
+            return truncation(space, MeetWithUnit(lexpair(0, 1)))
         if kind == "identity":
             return truncation(space, IdentityTruncation())
     except (ValueError, SpaceMismatch) as exc:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import DescriptorError, NegativeInput, SpaceMismatch
@@ -87,13 +88,14 @@ class UnitizationCtx:
         if self.trunc.space != self.space:
             raise SpaceMismatch("truncation does not act on the base space")
 
-    @property
+    # built once per context: truncate_u reads the unit on every call
+    @cached_property
     def zero(self) -> UnitizedElement:
         return UnitizedElement(zero(self.space), Fraction(0))
 
-    @property
+    @cached_property
     def one(self) -> UnitizedElement:
-        return UnitizedElement(zero(self.space), Fraction(1))
+        return UnitizedElement(self.zero.e, Fraction(1))
 
     def embed(self, x: Element) -> UnitizedElement:
         if x.space != self.space:
@@ -101,7 +103,7 @@ class UnitizationCtx:
         return UnitizedElement(x, Fraction(0))
 
     def scalar(self, lam) -> UnitizedElement:
-        return UnitizedElement(zero(self.space), coerce_rational(lam))
+        return UnitizedElement(self.zero.e, coerce_rational(lam))
 
     # The lattice interface shared with TruncationSpec.
 

@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from trunclat.cli import main
+from trunclat.cli import _parse_space, _parse_trunc, main
+from trunclat.engine import catalog
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -89,6 +90,19 @@ def test_check_malformed_descriptor(capsys):
     assert run_cli("check", "--space", '{"space": 3}') == 2
     assert run_cli("check", "--space", "sparse_seq", "--trunc", "identity") == 2
     assert run_cli("check", "--space", "sparse_seq", "--trials", "0") == 2
+    for trunc in ("lex_meet_zero_one", '{"kind":"lex_meet_zero_one"}'):
+        capsys.readouterr()
+        assert run_cli("check", "--space", "sparse_seq", "--trunc", trunc) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_default_truncation_is_the_catalogs():
+    for name, ctx in catalog().items():
+        space = _parse_space(name)
+        assert _parse_trunc(space, None) == ctx.trunc, name
+    fp = catalog()["finite_pointwise"]
+    assert _parse_trunc(fp.space, "meet_with_unit") == fp.trunc
 
 
 def test_check_json_to_file(tmp_path, capsys):

@@ -54,8 +54,18 @@ def test_repro_output_matches_readme_hash(repro_id, capsys):
     assert _sha16(capsys.readouterr().out) == README_HASHES[repro_id]
 
 
-@pytest.mark.parametrize("space", sorted(CHECK_HASHES))
-def test_check_json_report_hash(space, capsys):
-    argv = ["check", "--space", space, "--format", "json", "--seed", "42", "--trials", "200"]
+# Each run: the configuration's flags and the catalog pin its report must match.
+CHECK_RUNS = {space: (["--space", space], pin) for space, pin in CHECK_HASHES.items()}
+# the lex catalog truncation spelled as the meet with the unit (0,1)
+CHECK_RUNS["lex_plane-meet_with_unit"] = (
+    ["--space", "lex_plane", "--trunc", '{"kind":"meet_with_unit","unit":["0/1","1/1"]}'],
+    CHECK_HASHES["lex_plane"],
+)
+
+
+@pytest.mark.parametrize("run", sorted(CHECK_RUNS))
+def test_check_json_report_hash(run, capsys):
+    config, pin = CHECK_RUNS[run]
+    argv = ["check", *config, "--format", "json", "--seed", "42", "--trials", "200"]
     assert main(argv) == 0
-    assert _sha16(capsys.readouterr().out) == CHECK_HASHES[space]
+    assert _sha16(capsys.readouterr().out) == pin

@@ -162,7 +162,9 @@ def test_tau3_meet_with_unit_on_lex_plane():
         nx = scale(n, result.witness)
         assert truncate(dominated, nx) == nx
     second_axis = truncation(space, MeetWithUnit(lexpair(0, 3)))
-    assert isinstance(check_tau3(second_axis, []), SymbolicPass)
+    assert check_tau3(second_axis, []) == SymbolicPass(
+        "n*x <= (0,3) for every n forces the first coordinate to 0, then the second"
+    )
 
 
 def test_tau3_bounded_search_for_fixtures():
@@ -284,6 +286,10 @@ def test_lex_meet_zero_one_equals_meet_with_unit():
     gen = SampleGen(43, space)
     report = compare_fixed_sets(named, explicit, [gen.element() for _ in range(300)])
     assert report.verdict == "pass"
+    # the wire name is an alias of the meet with (0,1), not a kind of its own
+    assert truncation_from_json(space, {"kind": "lex_meet_zero_one"}) == explicit
+    with pytest.raises(DescriptorError):
+        truncation_from_json(SparseSeq(), {"kind": "lex_meet_zero_one"})
 
 
 def test_coupling_never_diverges_for_catalog_pairs():
