@@ -32,6 +32,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 from .errors import (
@@ -426,7 +427,7 @@ class EvalContext:
     trunc: TruncationSpec
     unitized: bool = False
 
-    @property
+    @cached_property
     def lattice(self) -> TruncationSpec | UnitizationCtx:
         """The lattice terms are evaluated in: the base or its unitization."""
         return UnitizationCtx(self.space, self.trunc) if self.unitized else self.trunc

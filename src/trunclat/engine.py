@@ -17,13 +17,13 @@ import hashlib
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
-from . import spaces
 from .errors import EmptySet, InvalidCertificate, NegativeInput, PreconditionViolated, SpaceMismatch
 from .rational import Rational, coerce_rational, format_rational
 from .report import LawReport
-from .sampling import Bounds, SampleGen
+from .sampling import SampleGen
 from .spaces import (
     Element,
     FinitePointwise,
@@ -49,15 +49,11 @@ from .spaces import (
     zero,
 )
 from .truncation import (
+    Decision,
     IdentityTruncation,
     MeetWithOne,
     MeetWithUnit,
-    NoViolationUpTo,
-    SymbolicPass,
-    SymbolicViolation,
-    Tau3Result,
     TruncationSpec,
-    ViolationWitness,
     check_prop21,
     check_prop22,
     check_tau1,
@@ -96,9 +92,8 @@ def derive_seed(seed: int, law_id: str) -> int:
 class LawContext:
     space: Space
     trunc: TruncationSpec
-    bounds: Bounds = Bounds()
 
-    @property
+    @cached_property
     def uctx(self) -> UnitizationCtx:
         return UnitizationCtx(self.space, self.trunc)
 
@@ -138,72 +133,35 @@ def expected_violations(ctx: LawContext) -> frozenset[str]:
     configuration, and ``check`` exits 0 on it, exactly when the law's own
     decider rules the property out.
     """
-    expected = set()
-    if isinstance(check_tau3(ctx.trunc, []), SymbolicViolation):
-        expected.add("tau3")
-    if not archimedean_check(ctx.space).archimedean:
-        expected.add("archimedean.space")
-    decision = unitization_archimedean(ctx)
-    if decision is not None and not decision.archimedean:
-        expected.add("archimedean.unitization")
-    return frozenset(expected)
+    decisions = {
+        # with no samples, check_tau3 can only refute symbolically
+        "tau3": check_tau3(ctx.trunc, []),
+        "archimedean.space": archimedean_check(ctx.space),
+        "archimedean.unitization": unitization_archimedean(ctx),
+    }
+    return frozenset(law_id for law_id, decision in decisions.items() if decision.holds is False)
 
 
 # ---------------------------------------------------------------------------
 # Archimedean deciders
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SymbolicDecision:
-    archimedean: bool
-    witness: tuple | None
-    reason: str
-
-
-@dataclass(frozen=True)
-class Witness:
-    x: Element
-    y: Element
-    bound: int
-
-
-@dataclass(frozen=True)
-class NoWitnessUpTo:
-    bound: int
-
-
-ArchimedeanResult = SymbolicDecision | Witness | NoWitnessUpTo
-
-
-def archimedean_check(
-    space: Space, pairs: Sequence[tuple[Element, Element]] = (), bound: int = 64
-) -> ArchimedeanResult:
-    """Decide whether ``0 <= n*x <= y`` for all n forces ``x = 0``.
-
-    The built-in spaces are decided symbolically; explicit candidate pairs get
-    a bounded search that can only certify survival up to the bound.
-    """
-    if pairs:
-        for x, y in pairs:
-            # the bare order of the space: no truncation is involved
-            if x != zero(x.space) and multiples_below(spaces, x, y, bound):
-                return Witness(x, y, bound)
-        return NoWitnessUpTo(bound)
+def archimedean_check(space: Space) -> Decision:
+    """Decide whether ``0 <= n*x <= y`` for all n forces ``x = 0`` in the bare order of ``space``."""
     if isinstance(space, LexPlane):
-        return SymbolicDecision(
+        return Decision(
             False,
-            (lexpair(0, 1), lexpair(1, 0)),
             "the first coordinate dominates: n*(0,1) <= (1,0) for every n",
+            (lexpair(0, 1), lexpair(1, 0)),
         )
-    return SymbolicDecision(True, None, "componentwise rational order")
+    return Decision(True, "componentwise rational order")
 
 
 def multiples_below(lat, x, y, bound: int = 64) -> bool:
     """Whether ``0 <= k*x <= y`` for ``k = 1..bound`` in the lattice ``lat``.
 
-    ``lat`` provides ``is_positive`` and ``leq``: a ``TruncationSpec``, a
-    ``UnitizationCtx``, or the ``spaces`` module for the bare order of a base
-    space.
+    ``lat`` provides ``is_positive`` and ``leq``: a ``TruncationSpec`` or a
+    ``UnitizationCtx``.
     """
     for k in range(1, bound + 1):
         kx = k * x
@@ -212,43 +170,35 @@ def multiples_below(lat, x, y, bound: int = 64) -> bool:
     return True
 
 
-def unitization_archimedean(ctx: LawContext) -> SymbolicDecision | None:
+def unitization_archimedean(ctx: LawContext) -> Decision:
     """Symbolic decision for the unitization's Archimedean property, where known.
 
     Decided directly from the order structure (pointwise or lexicographic
     closed forms), independently of the equivalence it is later checked
-    against.  Returns None when no closed form applies.
+    against.  Undecided (``holds`` None) when no closed form applies.
     """
     uctx = ctx.uctx
-    kind = ctx.trunc.kind
-    match kind:
+    match ctx.trunc.kind:
         case MeetWithOne():
-            return SymbolicDecision(
-                True, None, "pointwise order over the indices plus a point at infinity"
-            )
+            return Decision(True, "pointwise order over the indices plus a point at infinity")
         case IdentityTruncation():
-            return SymbolicDecision(
+            return Decision(
                 False,
-                (uctx.embed(line(1)), uctx.one),
                 "every positive multiple of the axis stays below the unit",
+                (uctx.embed(line(1)), uctx.one),
             )
         case MeetWithUnit(unit=u):
             if isinstance(ctx.space, LexPlane):
-                return SymbolicDecision(
+                return Decision(
                     False,
-                    (uctx.embed(lexpair(0, 1)), uctx.embed(lexpair(1, 0))),
                     "the base is already non-Archimedean",
+                    (uctx.embed(lexpair(0, 1)), uctx.embed(lexpair(1, 0))),
                 )
             if isinstance(ctx.space, FinitePointwise) and all(v > 0 for v in u.payload):
-                return SymbolicDecision(
-                    True, None, "weighted pointwise order on finitely many points plus infinity"
-                )
+                return Decision(True, "weighted pointwise order on finitely many points plus infinity")
             if isinstance(ctx.space, IdentityLine) and u.payload > 0:
-                return SymbolicDecision(
-                    True, None, "weighted pointwise order on one point plus infinity"
-                )
-            return None
-    return None
+                return Decision(True, "weighted pointwise order on one point plus infinity")
+    return Decision(None)
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +512,6 @@ def repro_c00_ruc(
     uniformly (exactly) once every coordinate has stabilized.
     """
     law_id = "example43.ruc"
-    limits = []
     for fx in fixtures:
         declared = set(fx.declared_support)
         last = max(fx.stable_from.values(), default=1) + fx.check_window
@@ -596,9 +545,8 @@ def repro_c00_ruc(
                         seed,
                         {"fixture": fx.name, "n": n, "diff": element_to_json(diff)},
                     )
-        limits.append({"fixture": fx.name, "limit": element_to_json(limit)})
     return LawReport.passed(
-        law_id, len(fixtures), seed, detail=f"limits={len(limits)}, all finite support"
+        law_id, len(fixtures), seed, detail=f"limits={len(fixtures)}, all finite support"
     )
 
 
@@ -772,29 +720,33 @@ def _law_tau2(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
 
 def _law_tau3(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
     samples = [gen.positive() for _ in range(min(n, 50))]
-    result = check_tau3(ctx.trunc, samples, bound=100)
-    return tau3_to_report(ctx, result, gen.seed)
+    decision = check_tau3(ctx.trunc, samples, bound=100)
+    return decision_report("tau3", ctx.trunc, decision, multiples_fixed, gen.seed, "multiples verified")
 
 
-def tau3_to_report(ctx: LawContext, result: Tau3Result, seed: int) -> LawReport:
-    match result:
-        case SymbolicPass(reason=reason):
-            return LawReport.passed("tau3", 0, seed, detail=f"symbolic: {reason}")
-        case SymbolicViolation(witness=w, reason=reason):
-            if multiples_fixed(ctx.trunc, w):
-                detail = f"symbolic, multiples verified to n=64: {reason}"
-            else:
-                detail = "symbolic witness failed re-check"
-            return LawReport.refuted("tau3", 0, seed, {"x": _wit_el(w)}, detail=detail)
-        case ViolationWitness(witness=w, bound=bound):
-            return LawReport.refuted(
-                "tau3", bound, seed, {"x": _wit_el(w)}, detail=f"fixed through n<={bound}"
-            )
-        case NoViolationUpTo(bound=bound):
-            return LawReport.inconclusive(
-                "tau3", bound, seed, bound=bound, detail="bounded search found no violation"
-            )
-    raise TypeError(f"unknown tau3 result {result!r}")
+def decision_report(
+    law_id: str, lat, decision: Decision, replays: Callable, seed: int, verified: str = "verified"
+) -> LawReport:
+    """The report of a decider's ``decision`` on the law ``law_id``.
+
+    A symbolic refutation is replayed first: ``replays(lat, *decision.witness)``
+    re-checks its witness, and ``verified`` names what that replay verified.
+    A bounded decision reports its search bound as its trial count.
+    """
+    bound = decision.bound
+    if decision.holds is None:
+        detail = "bounded search found no violation" if bound else "no symbolic decision"
+        return LawReport.inconclusive(law_id, bound, seed, bound=bound, detail=detail)
+    if decision.holds:
+        return LawReport.passed(law_id, 0, seed, detail=f"symbolic: {decision.reason}")
+    witness = {name: lat.to_json(w) for name, w in zip(("x", "y"), decision.witness)}
+    if bound:
+        detail = f"fixed through n<={bound}"
+    elif replays(lat, *decision.witness):
+        detail = f"symbolic, {verified} to n=64: {decision.reason}"
+    else:
+        detail = "symbolic witness failed re-check"
+    return LawReport.refuted(law_id, bound, seed, witness, detail=detail)
 
 
 def _law_prop21(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
@@ -811,53 +763,39 @@ def _law_lemma23_self(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
 
 
 def _law_arch_space(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
-    return _arch_report("archimedean.space", ctx.trunc, archimedean_check(ctx.space), gen.seed)
+    decision = archimedean_check(ctx.space)
+    return decision_report("archimedean.space", ctx.trunc, decision, multiples_below, gen.seed)
 
 
 def _law_arch_unitization(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
-    return _arch_report("archimedean.unitization", ctx.uctx, unitization_archimedean(ctx), gen.seed)
-
-
-def _arch_report(law_id: str, lat, decision: SymbolicDecision | None, seed: int) -> LawReport:
-    """The report of a symbolic Archimedean decision; its witness is re-checked in ``lat``."""
-    if decision is None:
-        return LawReport.inconclusive(law_id, 0, seed, bound=0, detail="no symbolic decision")
-    if decision.archimedean:
-        return LawReport.passed(law_id, 0, seed, detail=f"symbolic: {decision.reason}")
-    x, y = decision.witness
-    if multiples_below(lat, x, y):
-        detail = f"symbolic, verified to n=64: {decision.reason}"
-    else:
-        detail = "symbolic witness failed re-check"
-    witness = {"x": lat.to_json(x), "y": lat.to_json(y)}
-    return LawReport.refuted(law_id, 0, seed, witness, detail=detail)
+    decision = unitization_archimedean(ctx)
+    return decision_report("archimedean.unitization", ctx.uctx, decision, multiples_below, gen.seed)
 
 
 def _law_thm31(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
     space_decision = archimedean_check(ctx.space)
-    tau3_result = check_tau3(ctx.trunc, [gen.positive() for _ in range(8)], bound=100)
+    tau3 = check_tau3(ctx.trunc, [gen.positive() for _ in range(8)], bound=100)
     u_decision = unitization_archimedean(ctx)
-    if u_decision is None or isinstance(tau3_result, (ViolationWitness, NoViolationUpTo)):
+    if u_decision.holds is None or tau3.bound:
         return LawReport.inconclusive(
             "thm31.equivalence", 0, gen.seed, bound=0, detail="no symbolic decision"
         )
-    tau3_ok = isinstance(tau3_result, SymbolicPass)
-    expected = space_decision.archimedean and tau3_ok
-    if u_decision.archimedean == expected:
+    expected = space_decision.holds and tau3.holds
+    if u_decision.holds == expected:
         return LawReport.passed(
             "thm31.equivalence",
             0,
             gen.seed,
-            detail=f"unitization={u_decision.archimedean} base={space_decision.archimedean} tau3={tau3_ok}",
+            detail=f"unitization={u_decision.holds} base={space_decision.holds} tau3={tau3.holds}",
         )
     return LawReport.refuted(
         "thm31.equivalence",
         0,
         gen.seed,
         {
-            "unitization_archimedean": u_decision.archimedean,
-            "base_archimedean": space_decision.archimedean,
-            "tau3": tau3_ok,
+            "unitization_archimedean": u_decision.holds,
+            "base_archimedean": space_decision.holds,
+            "tau3": tau3.holds,
         },
     )
 
@@ -1155,8 +1093,7 @@ def _is_fp(ctx: LawContext) -> bool:
 
 
 def _thm33_applies(ctx: LawContext) -> bool:
-    decision = unitization_archimedean(ctx)
-    return not ctx.trunc.unital and decision is not None and decision.archimedean
+    return not ctx.trunc.unital and unitization_archimedean(ctx).holds is True
 
 
 _DSL_TAU1 = ("(|a| /\\ tr(|b|)) <= tr(|a|)", "tr(|a|) <= |a|")
@@ -1204,12 +1141,11 @@ def run_suite(
     trunc: TruncationSpec,
     seed: int,
     trials: int,
-    bounds: Bounds | None = None,
 ) -> list[LawReport]:
     """Run every applicable registered law; reports come back sorted by law id."""
     if trials < 1:
         raise PreconditionViolated("trials must be >= 1")
-    ctx = LawContext(space, trunc, bounds or Bounds())
+    ctx = LawContext(space, trunc)
     reports = [_run_law(ctx, law, seed, trials) for law in REGISTRY if law.applies(ctx)]
     return sorted(reports, key=lambda r: r.law_id)
 
@@ -1221,7 +1157,7 @@ def run_law(ctx: LawContext, law_id: str, seed: int, trials: int) -> LawReport:
 
 
 def _run_law(ctx: LawContext, law: Law, seed: int, trials: int) -> LawReport:
-    gen = SampleGen(derive_seed(seed, law.law_id), ctx.space, ctx.bounds)
+    gen = SampleGen(derive_seed(seed, law.law_id), ctx.space)
     report = law.run(ctx, gen, max(1, trials // law.divisor))
     if report.law_id != law.law_id:
         report = replace(report, law_id=law.law_id)

@@ -226,41 +226,29 @@ def check_tau2(t: TruncationSpec | UnitizationCtx, samples: Sequence, seed: int 
 
 
 @dataclass(frozen=True)
-class SymbolicPass:
-    reason: str
+class Decision:
+    """What a decider found: ``holds`` is True or False, or None when undecided.
+
+    ``bound`` is 0 for a symbolic decision and the search bound otherwise.  A
+    refutation carries its ``witness`` elements, which the law's report
+    replays before it refutes.
+    """
+
+    holds: bool | None
+    reason: str = ""
+    witness: tuple = ()
+    bound: int = 0
 
 
-@dataclass(frozen=True)
-class SymbolicViolation:
-    witness: Element
-    reason: str
-
-
-@dataclass(frozen=True)
-class ViolationWitness:
-    """A sample that stayed fixed through every checked multiple (bounded evidence)."""
-
-    witness: Element
-    bound: int
-
-
-@dataclass(frozen=True)
-class NoViolationUpTo:
-    bound: int
-
-
-Tau3Result = SymbolicPass | SymbolicViolation | ViolationWitness | NoViolationUpTo
-
-
-def check_tau3(
-    t: TruncationSpec, samples: Sequence[Element], bound: int = 100
-) -> Tau3Result:
+def check_tau3(t: TruncationSpec, samples: Sequence[Element], bound: int = 100) -> Decision:
     """Decide the multiples axiom: ``tr(n*a) = n*a`` for all n forces ``a = 0``.
 
     The cataloged kinds are decided symbolically from their closed forms; a
     fixture truncation falls back to a bounded search over the samples, which
     can only produce bounded evidence, never a proof.
     """
+    if bound < 1:
+        raise PreconditionViolated("tau3's bounded search needs bound >= 1")
     z = zero(t.space)
     for a in samples:
         if not leq(z, a):
@@ -269,32 +257,29 @@ def check_tau3(
     match t.kind:
         case IdentityTruncation():
             witness = positive[0] if positive else line(1)
-            return SymbolicViolation(
-                witness, "every positive element is fixed together with all its multiples"
+            return Decision(
+                False, "every positive element is fixed together with all its multiples", (witness,)
             )
         case MeetWithOne():
-            return SymbolicPass(
-                "n*x <= 1 componentwise for every n forces each coordinate to 0"
-            )
+            return Decision(True, "n*x <= 1 componentwise for every n forces each coordinate to 0")
         case MeetWithUnit(unit=u):
             if isinstance(t.space, LexPlane):
                 if u.payload[0] > 0:
-                    return SymbolicViolation(
-                        lexpair(0, 1),
+                    return Decision(
+                        False,
                         "n*(0,1) <= u holds for every n because the unit's first coordinate is positive",
+                        (lexpair(0, 1),),
                     )
                 u0, u1 = u.payload
-                return SymbolicPass(
-                    f"n*x <= ({u0},{u1}) for every n forces the first coordinate to 0, then the second"
+                return Decision(
+                    True, f"n*x <= ({u0},{u1}) for every n forces the first coordinate to 0, then the second"
                 )
-            return SymbolicPass(
-                "n*x <= u componentwise for every n forces each coordinate to 0"
-            )
+            return Decision(True, "n*x <= u componentwise for every n forces each coordinate to 0")
         case FixtureTruncation():
             for a in positive:
                 if multiples_fixed(t, a, bound):
-                    return ViolationWitness(a, bound)
-            return NoViolationUpTo(bound)
+                    return Decision(False, witness=(a,), bound=bound)
+            return Decision(None, bound=bound)
     raise TypeError(f"unknown truncation kind {t.kind!r}")
 
 

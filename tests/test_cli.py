@@ -85,6 +85,18 @@ def test_check_lex_unit_on_first_axis_expects_tau3(capsys):
     assert ["tau3", "REFUTED", "(expected)"] in [row[:3] for row in rows]
 
 
+def test_check_note_names_the_inconclusive_laws(capsys):
+    # unit (1,0) has no closed-form unitization decision; tau2 fails, since tr(0,a) = 0
+    assert run_cli("check", "--space", "finite_pointwise:2",
+                   "--trunc", '{"kind":"meet_with_unit","unit":["1/1","0/1"]}') == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "note: 2 inconclusive report(s): archimedean.unitization, thm31.equivalence\n"
+    )
+    rows = [line.split()[:2] for line in captured.out.splitlines()]
+    assert ["tau2", "REFUTED"] in rows and "note:" not in captured.out
+
+
 def test_check_malformed_descriptor(capsys):
     assert run_cli("check", "--space", "no_such_space") == 2
     assert run_cli("check", "--space", '{"space": 3}') == 2

@@ -137,6 +137,11 @@ def test_free_variables():
 
 # -- evaluation ------------------------------------------------------------------
 
+def test_unitized_lattice_is_built_once():
+    ctx = EvalContext(CATALOG["sparse_seq"].space, CATALOG["sparse_seq"].trunc, unitized=True)
+    assert ctx.lattice is ctx.lattice
+
+
 def _names_a_base_element(term) -> bool:
     """No ``1`` and no nonzero scalar literal: the term denotes a base element."""
     match term:

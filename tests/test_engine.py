@@ -56,7 +56,8 @@ from trunclat import (
     zero,
 )
 from trunclat import engine
-from trunclat.engine import SymbolicDecision, Witness, NoWitnessUpTo
+from trunclat.engine import decision_report, multiples_below, multiples_fixed
+from trunclat.truncation import Decision, FixtureTruncation, check_tau3
 
 from oracles import band_component_oracle, uniform_cauchy_pairwise
 
@@ -69,20 +70,11 @@ FPU = unitize(CATALOG["finite_pointwise"].trunc)
 
 def test_archimedean_space_decisions():
     lex = archimedean_check(LexPlane())
-    assert isinstance(lex, SymbolicDecision) and not lex.archimedean
+    assert lex.holds is False and lex.bound == 0
     assert lex.witness == (lexpair(0, 1), lexpair(1, 0))
     for name in ("sparse_seq", "identity_line", "finite_pointwise"):
         decision = archimedean_check(CATALOG[name].space)
-        assert decision.archimedean, name
-
-
-def test_archimedean_bounded_search():
-    found = archimedean_check(LexPlane(), pairs=[(lexpair(0, 1), lexpair(1, 0))], bound=32)
-    assert isinstance(found, Witness) and found.bound == 32
-    none = archimedean_check(
-        SparseSeq(), pairs=[(sparse({1: 1}), sparse({1: 5})), (sparse(), sparse({1: 1}))], bound=32
-    )
-    assert isinstance(none, NoWitnessUpTo)
+        assert decision.holds is True and decision.witness == (), name
 
 
 def test_unitization_archimedean_decisions():
@@ -94,7 +86,7 @@ def test_unitization_archimedean_decisions():
     }
     for name, expect in expectations.items():
         decision = unitization_archimedean(CATALOG[name])
-        assert decision is not None and decision.archimedean == expect, name
+        assert decision.holds is expect and decision.bound == 0, name
         if not expect:
             a, b = decision.witness
             ctx = unitize(CATALOG[name].trunc)
@@ -102,6 +94,69 @@ def test_unitization_archimedean_decisions():
 
             for n in range(1, 65):
                 assert is_positive(ctx, n * a) and leq_u(ctx, n * a, b)
+
+
+def test_unitization_archimedean_undecided_without_closed_form():
+    space = FinitePointwise(2)
+    ctx = engine.LawContext(space, truncation(space, MeetWithUnit(fp(1, 0))))
+    assert unitization_archimedean(ctx) == Decision(None)
+
+
+def test_law_context_caches_its_unitization():
+    ctx = engine.LawContext(SparseSeq(), CATALOG["sparse_seq"].trunc)
+    assert ctx.uctx is ctx.uctx
+
+
+# -- decision_report: one report path for every decider -----------------------
+
+def test_decision_report_symbolic_pass():
+    trunc = CATALOG["sparse_seq"].trunc
+    report = decision_report("tau3", trunc, check_tau3(trunc, []), multiples_fixed, 7)
+    assert (report.verdict, report.trials, report.witness) == ("pass", 0, None)
+    assert report.detail == "symbolic: n*x <= 1 componentwise for every n forces each coordinate to 0"
+
+
+def test_decision_report_replays_a_symbolic_refutation():
+    lex = CATALOG["lex_plane"]
+    report = decision_report("archimedean.space", lex.trunc, archimedean_check(lex.space), multiples_below, 7)
+    assert (report.verdict, report.trials) == ("refuted", 0)
+    assert report.witness == {"x": ["0/1", "1/1"], "y": ["1/1", "0/1"]}
+    assert report.detail == (
+        "symbolic, verified to n=64: the first coordinate dominates: n*(0,1) <= (1,0) for every n"
+    )
+    ident = CATALOG["identity_line"].trunc
+    decision = check_tau3(ident, [])
+    report = decision_report("tau3", ident, decision, multiples_fixed, 7, "multiples verified")
+    assert report.detail == f"symbolic, multiples verified to n=64: {decision.reason}"
+
+
+def test_decision_report_flags_a_witness_that_does_not_replay():
+    trunc = CATALOG["sparse_seq"].trunc
+    # 2*x <= x fails for x = e1, so the claimed refutation does not replay
+    claimed = Decision(False, "claimed", (sparse({1: 1}), sparse({1: 1})))
+    report = decision_report("archimedean.space", trunc, claimed, multiples_below, 7)
+    assert report.verdict == "refuted"
+    assert report.detail == "symbolic witness failed re-check"
+
+
+def test_decision_report_bounded_refutation():
+    space = SparseSeq()
+    noop = truncation(space, FixtureTruncation("noop", lambda x: x))
+    decision = check_tau3(noop, [sparse({1: 1})], bound=100)
+    report = decision_report("tau3", noop, decision, multiples_fixed, 7)
+    assert (report.verdict, report.trials, report.bound) == ("refuted", 100, None)
+    assert report.witness == {"x": {"1": "1/1"}}
+    assert report.detail == "fixed through n<=100"
+
+
+def test_decision_report_undecided():
+    trunc = CATALOG["sparse_seq"].trunc
+    bounded = decision_report("tau3", trunc, Decision(None, bound=50), multiples_fixed, 7)
+    assert (bounded.verdict, bounded.trials, bounded.bound) == ("inconclusive", 50, 50)
+    assert bounded.detail == "bounded search found no violation"
+    symbolic = decision_report("archimedean.unitization", trunc, Decision(None), multiples_below, 7)
+    assert (symbolic.verdict, symbolic.trials, symbolic.bound) == ("inconclusive", 0, 0)
+    assert symbolic.detail == "no symbolic decision"
 
 
 # -- run_suite ----------------------------------------------------------------

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from trunclat import (
+    Decision,
     DescriptorError,
     FixtureTruncation,
     IdentityLine,
@@ -11,13 +12,10 @@ from trunclat import (
     MeetWithOne,
     MeetWithUnit,
     NegativeInput,
-    NoViolationUpTo,
+    PreconditionViolated,
     SampleGen,
     SpaceMismatch,
     SparseSeq,
-    SymbolicPass,
-    SymbolicViolation,
-    ViolationWitness,
     catalog,
     check_prop21,
     check_prop22,
@@ -140,30 +138,30 @@ def test_tau1_refuted_for_inflating_fixture():
 
 
 def test_tau3_symbolic_decisions():
-    assert isinstance(check_tau3(CATALOG["sparse_seq"].trunc, []), SymbolicPass)
-    assert isinstance(check_tau3(CATALOG["lex_plane"].trunc, []), SymbolicPass)
-    assert isinstance(check_tau3(CATALOG["finite_pointwise"].trunc, []), SymbolicPass)
+    for name in ("sparse_seq", "lex_plane", "finite_pointwise"):
+        result = check_tau3(CATALOG[name].trunc, [])
+        assert result.holds is True and result.bound == 0 and result.witness == (), name
     result = check_tau3(CATALOG["identity_line"].trunc, [line(1)])
-    assert isinstance(result, SymbolicViolation)
-    assert result.witness == line(1)
+    assert result.holds is False and result.bound == 0
+    assert result.witness == (line(1),)
     # the witness really survives every multiple
     t = CATALOG["identity_line"].trunc
     for n in range(1, 101):
-        assert truncate(t, scale(n, result.witness)) == scale(n, result.witness)
+        assert truncate(t, scale(n, line(1))) == scale(n, line(1))
 
 
 def test_tau3_meet_with_unit_on_lex_plane():
     space = LexPlane()
     dominated = truncation(space, MeetWithUnit(lexpair(1, 0)))
     result = check_tau3(dominated, [])
-    assert isinstance(result, SymbolicViolation)
-    assert result.witness == lexpair(0, 1)
+    assert result.holds is False and result.bound == 0
+    assert result.witness == (lexpair(0, 1),)
     for n in range(1, 101):
-        nx = scale(n, result.witness)
+        nx = scale(n, lexpair(0, 1))
         assert truncate(dominated, nx) == nx
     second_axis = truncation(space, MeetWithUnit(lexpair(0, 3)))
-    assert check_tau3(second_axis, []) == SymbolicPass(
-        "n*x <= (0,3) for every n forces the first coordinate to 0, then the second"
+    assert check_tau3(second_axis, []) == Decision(
+        True, "n*x <= (0,3) for every n forces the first coordinate to 0, then the second"
     )
 
 
@@ -171,18 +169,19 @@ def test_tau3_bounded_search_for_fixtures():
     space = SparseSeq()
     all_fixed = truncation(space, FixtureTruncation("noop", lambda x: x))
     result = check_tau3(all_fixed, [sparse({1: 1})], bound=50)
-    assert isinstance(result, ViolationWitness)
-    assert result.witness == sparse({1: 1}) and result.bound == 50
+    assert result == Decision(False, witness=(sparse({1: 1}),), bound=50)
 
     capped = truncation(
         space, FixtureTruncation("cap2", lambda x: meet(x, sparse({k: 2 for k in range(1, 17)})))
     )
     result = check_tau3(capped, [sparse({1: 1}), sparse()], bound=50)
-    assert isinstance(result, NoViolationUpTo)
-    assert result.bound == 50
+    assert result == Decision(None, bound=50)
 
     with pytest.raises(NegativeInput):
         check_tau3(all_fixed, [sparse({1: -1})])
+    # bound 0 would read as a symbolic decision
+    with pytest.raises(PreconditionViolated):
+        check_tau3(all_fixed, [sparse({1: 1})], bound=0)
 
 
 # -- exchange identity and elementary properties ------------------------------
