@@ -22,13 +22,9 @@ from .spaces import (
     SparseSeq,
     add,
     meet,
-    neg,
-    pos,
-    scale,
     sparse,
 )
-from .truncation import truncate
-from .unitization import UnitizationCtx, UnitizedElement, abs_u
+from .unitization import UnitizationCtx, UnitizedElement, abs_u, pos_u
 
 _MASK64 = (1 << 64) - 1
 
@@ -135,12 +131,9 @@ class SampleGen:
         if branch == 1:
             return ctx.scalar(self.rational(nonneg=True))
         if branch == 2:
-            # pos(x) - lam * tr((1/lam) neg(x)) has rescaled negative part in
-            # the fixed set by idempotency, so the pair is in the cone
+            # (x + lam)+ for lam > 0: scalar part lam, base part not >= 0 in general
             lam = self.rational(nonneg=True, nonzero=True)
-            x = self.element()
-            fixed = truncate(ctx.trunc, scale(1 / lam, neg(x)))
-            return UnitizedElement(pos(x) - scale(lam, fixed), lam)
+            return pos_u(ctx, UnitizedElement(self.element(), lam))
         return abs_u(ctx, self.unitized())
 
     def positive_unitized_scalar(self, ctx: UnitizationCtx) -> UnitizedElement:

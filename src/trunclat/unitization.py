@@ -1,21 +1,21 @@
 """The unitization of a truncated space: a formal unit adjoined to the base.
 
 Elements are pairs ``x + lam*1`` with ``x`` in the base space and ``lam``
-rational.  The positive cone is
+rational.  The order structure comes from one closed form, the positive part.
+For ``lam != 0`` let ``p`` be ``neg(x)`` if ``lam > 0`` and ``pos(x)`` if
+``lam < 0``, and ``T = |lam| * tr(p / |lam|)``; ``p / |lam|`` is the join
+``(1/lam) neg(x) v (-1/lam) pos(x)`` of a positive and a negative term, so
 
-    ``lam = 0`` and ``x >= 0``,  or  ``lam > 0`` and ``(1/lam) * neg(x)``
-    lies in the base truncation's fixed set,
+    ``|x + lam| = |x| - 2T + |lam|``  and
+    ``(x + lam)+ = ((x + lam) + |x + lam|) / 2 = pos(x) - T + max(lam, 0)``,
 
-and the absolute value is evaluated from the closed form
-
-    ``|x + lam| = |x| - 2|lam| * tr((1/lam) neg(x)  v  (-1/lam) pos(x)) + |lam|``
-
-for ``lam != 0`` (and ``|x|`` for ``lam = 0``).  Joins and meets are derived
-from the absolute value via ``a v b = (a + b + |a - b|) / 2``, so the formula
-above is the single source of truth for the whole order structure; its
-correctness is cross-checked in the test suite against an independent
-pointwise oracle.  The truncation on the unitization is the meet with the
-adjoined unit.
+with ``(x + lam)+ = pos(x)`` for ``lam = 0``.  Then ``a v b = b + (a - b)+`` and
+``a ^ b = a - (a - b)+``: exact rational algebra on the half-sums
+``(a + b +- |a - b|) / 2``, so the rules hold for any deterministic truncation
+map.  The tests cross-check them against the half-sum forms and a pointwise
+oracle.  The positive cone is ``lam = 0`` and ``x >= 0``, or ``lam > 0`` and
+``y = neg(x) / lam`` fixed by the truncation; the truncation on the
+unitization is the meet with the adjoined unit.
 
 :class:`UnitizationCtx` carries the same lattice methods as the base
 :class:`~trunclat.truncation.TruncationSpec` (``zero``, ``leq``, ``join``,
@@ -41,7 +41,6 @@ from .spaces import (
     SparseSeq,
     element_from_json,
     element_to_json,
-    join,
     line,
     neg,
     pos,
@@ -53,7 +52,7 @@ from .spaces import (
 from .truncation import TruncationSpec, in_fixed_set, truncate
 from .report import LawReport
 
-_HALF = Fraction(1, 2)
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,7 @@ class UnitizationCtx:
     # built once per context: truncate_u reads the unit on every call
     @cached_property
     def zero(self) -> UnitizedElement:
-        return UnitizedElement(zero(self.space), Fraction(0))
+        return UnitizedElement(zero(self.space), _ZERO)
 
     @cached_property
     def one(self) -> UnitizedElement:
@@ -100,7 +99,7 @@ class UnitizationCtx:
     def embed(self, x: Element) -> UnitizedElement:
         if x.space != self.space:
             raise SpaceMismatch("cannot embed an element of a different space")
-        return UnitizedElement(x, Fraction(0))
+        return UnitizedElement(x, _ZERO)
 
     def scalar(self, lam) -> UnitizedElement:
         return UnitizedElement(self.zero.e, coerce_rational(lam))
@@ -146,20 +145,26 @@ def unitize(trunc: TruncationSpec) -> UnitizationCtx:
 # Order structure
 # ---------------------------------------------------------------------------
 
-def is_positive(ctx: UnitizationCtx, a: UnitizedElement) -> bool:
-    """Cone membership.
+def _base(ctx: UnitizationCtx, a: UnitizedElement) -> Element:
+    """``a``'s base part, checked to live on the base space."""
+    if a.e.space is not ctx.space and a.e.space != ctx.space:
+        raise SpaceMismatch(f"{ctx.space!r} vs {a.e.space!r}")
+    return a.e
 
-    For a positive scalar part the test reduces to fixed-set membership of the
-    rescaled negative part, which is already a positive element.
-    """
-    sign = a.lam.numerator
-    if sign < 0:
-        return False
-    if not sign:
-        if a.e.space is not ctx.space and a.e.space != ctx.space:
-            raise SpaceMismatch(f"{ctx.space!r} vs {a.e.space!r}")
-        return ctx.trunc.is_positive(a.e)
-    return in_fixed_set(ctx.trunc, scale(1 / a.lam, neg(a.e)))
+
+def _cut(ctx: UnitizationCtx, a: UnitizedElement, k) -> Element:
+    """``k * |lam| tr(p / |lam|)`` for ``lam != 0``; ``p`` is ``neg(x)`` if ``lam > 0``, else ``pos(x)``."""
+    lam_abs, p = (a.lam, neg(a.e)) if a.lam.numerator > 0 else (-a.lam, pos(a.e))
+    return scale(k * lam_abs, truncate(ctx.trunc, scale(1 / lam_abs, p)))
+
+
+def is_positive(ctx: UnitizationCtx, a: UnitizedElement) -> bool:
+    """Cone membership: for ``lam > 0``, ``y = neg(x)/lam >= 0`` must satisfy ``tr(y) = y``."""
+    x = _base(ctx, a)
+    if a.lam.numerator <= 0:
+        return not a.lam.numerator and ctx.trunc.is_positive(x)
+    y = scale(1 / a.lam, neg(x))
+    return truncate(ctx.trunc, y) == y
 
 
 def leq_u(ctx: UnitizationCtx, a: UnitizedElement, b: UnitizedElement) -> bool:
@@ -170,32 +175,27 @@ def lt_u(ctx: UnitizationCtx, a: UnitizedElement, b: UnitizedElement) -> bool:
     return a != b and leq_u(ctx, a, b)
 
 
-def abs_u(ctx: UnitizationCtx, a: UnitizedElement) -> UnitizedElement:
-    if not a.lam.numerator:
-        return UnitizedElement(abs(a.e), Fraction(0))
-    lam_abs = -a.lam if a.lam.numerator < 0 else a.lam
-    inv = 1 / a.lam
-    # (1/lam) neg(e) v (-1/lam) pos(e) is >= 0 for either sign of lam
-    arg = join(scale(inv, neg(a.e)), scale(-inv, pos(a.e)))
-    truncated = truncate(ctx.trunc, arg)
-    e_part = abs(a.e) - scale(2 * lam_abs, truncated)
-    return UnitizedElement(e_part, lam_abs)
-
-
-def join_u(ctx: UnitizationCtx, a: UnitizedElement, b: UnitizedElement) -> UnitizedElement:
-    return _HALF * (a + b + abs_u(ctx, a - b))
-
-
-def meet_u(ctx: UnitizationCtx, a: UnitizedElement, b: UnitizedElement) -> UnitizedElement:
-    return _HALF * (a + b - abs_u(ctx, a - b))
-
-
 def pos_u(ctx: UnitizationCtx, a: UnitizedElement) -> UnitizedElement:
-    return join_u(ctx, a, ctx.zero)
+    x = _base(ctx, a)
+    lam = a.lam if a.lam.numerator > 0 else _ZERO
+    return UnitizedElement(pos(x) - _cut(ctx, a, 1) if a.lam.numerator else pos(x), lam)
 
 
 def neg_u(ctx: UnitizationCtx, a: UnitizedElement) -> UnitizedElement:
-    return join_u(ctx, -a, ctx.zero)
+    return pos_u(ctx, -a)
+
+
+def abs_u(ctx: UnitizationCtx, a: UnitizedElement) -> UnitizedElement:
+    x = _base(ctx, a)
+    return UnitizedElement(abs(x) - _cut(ctx, a, 2) if a.lam.numerator else abs(x), abs(a.lam))
+
+
+def join_u(ctx: UnitizationCtx, a: UnitizedElement, b: UnitizedElement) -> UnitizedElement:
+    return b + pos_u(ctx, a - b)
+
+
+def meet_u(ctx: UnitizationCtx, a: UnitizedElement, b: UnitizedElement) -> UnitizedElement:
+    return a - pos_u(ctx, a - b)
 
 
 def truncate_u(ctx: UnitizationCtx, a: UnitizedElement) -> UnitizedElement:

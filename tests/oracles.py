@@ -20,7 +20,12 @@ The module also keeps these references:
   ``band_component`` and its linear-time second route ``band_component_join``
   are checked;
 * the uniform-Cauchy check that compares every pair of a window, against
-  which the sup-minus-inf fold of ``uniform_cauchy_prefix`` is checked.
+  which the sup-minus-inf fold of ``uniform_cauchy_prefix`` is checked;
+* the unitization's order structure as first written: the absolute value with
+  the two-scale join argument ``(1/lam) neg(x) v (-1/lam) pos(x)``, joins and
+  meets as the half-sums ``(a + b +- |a - b|) / 2``, and the cone test through
+  ``in_fixed_set``, against which the positive-part forms of
+  ``trunclat.unitization`` are checked.
 """
 
 from fractions import Fraction
@@ -36,11 +41,17 @@ from trunclat import (
     abs_u,
     coeff,
     fp,
+    in_fixed_set,
+    join,
     leq,
     leq_u,
+    neg,
+    pos,
+    scale,
     sparse,
     sup_finite,
     support,
+    truncate,
     zero,
 )
 
@@ -185,3 +196,32 @@ def uniform_cauchy_pairwise(ctx, seq, u, eps, lo, hi):
             if not leq_u(ctx, abs_u(ctx, values[n] - values[m]), bound):
                 return n, m
     return None
+
+
+_HALF = Fraction(1, 2)
+
+
+def ref_abs_u(ctx, a: UnitizedElement) -> UnitizedElement:
+    """``|x| - 2|lam| tr((1/lam) neg(x) v (-1/lam) pos(x)) + |lam|``, and ``|x|`` for ``lam = 0``."""
+    if a.lam == 0:
+        return UnitizedElement(abs(a.e), Fraction(0))
+    lam_abs = abs(a.lam)
+    inv = 1 / a.lam
+    arg = join(scale(inv, neg(a.e)), scale(-inv, pos(a.e)))
+    return UnitizedElement(abs(a.e) - scale(2 * lam_abs, truncate(ctx.trunc, arg)), lam_abs)
+
+
+def ref_join_u(ctx, a: UnitizedElement, b: UnitizedElement) -> UnitizedElement:
+    return _HALF * (a + b + ref_abs_u(ctx, a - b))
+
+
+def ref_meet_u(ctx, a: UnitizedElement, b: UnitizedElement) -> UnitizedElement:
+    return _HALF * (a + b - ref_abs_u(ctx, a - b))
+
+
+def ref_is_positive_u(ctx, a: UnitizedElement) -> bool:
+    if a.lam < 0:
+        return False
+    if a.lam == 0:
+        return leq(zero(ctx.space), a.e)
+    return in_fixed_set(ctx.trunc, scale(1 / a.lam, neg(a.e)))

@@ -1,14 +1,21 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trunclat import (
     DescriptorError,
+    Element,
     FinitePointwise,
+    FixtureTruncation,
+    IdentityLine,
+    LexPlane,
     MeetWithUnit,
     NegativeInput,
     NonUnitalZero,
     SampleGen,
+    SpaceMismatch,
     SparseSeq,
     UnitalSpan,
     UnitizedElement,
@@ -29,21 +36,39 @@ from trunclat import (
     neg_u,
     orthogonal_complement_witness,
     pos_u,
+    scale,
     sparse,
     truncate_u,
     truncation,
     unitize,
     unitized_from_json,
     unitized_to_json,
+    zero,
 )
+from trunclat import spaces, unitization
 
-from oracles import o_abs, o_join, o_leq, o_meet, o_positive
+from oracles import (
+    o_abs,
+    o_join,
+    o_leq,
+    o_meet,
+    o_positive,
+    ref_abs_u,
+    ref_is_positive_u,
+    ref_join_u,
+    ref_meet_u,
+)
 
 SPARSE = unitize(catalog()["sparse_seq"].trunc)
 FPU = unitize(catalog()["finite_pointwise"].trunc)
 LEXU = unitize(catalog()["lex_plane"].trunc)
 LINEU = unitize(catalog()["identity_line"].trunc)
 ALL_CTX = (SPARSE, FPU, LEXU, LINEU)
+# x -> 2x breaks tau1 (tr(x) <= x): the unitized forms must still agree with the half-sums
+DOUBLED = tuple(
+    unitize(truncation(space, FixtureTruncation("double", lambda x: scale(2, x))))
+    for space in (SparseSeq(), FinitePointwise(3))
+)
 
 
 def ue(e, lam):
@@ -107,6 +132,122 @@ def test_pointwise_oracle_agreement():
         assert abs_u(SPARSE, a) == o_abs(a)
         assert join_u(SPARSE, a, b) == o_join(a, b)
         assert meet_u(SPARSE, a, b) == o_meet(a, b)
+
+
+# -- the positive-part forms against the half-sum references -------------------
+
+_values = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+_magnitudes = st.fractions(min_value=Fraction(1, 5), max_value=4, max_denominator=5)
+
+
+def _base_elements(space):
+    match space:
+        case FinitePointwise(dim):
+            return st.lists(_values, min_size=dim, max_size=dim).map(lambda v: fp(*v))
+        case SparseSeq():
+            return st.dictionaries(st.integers(1, 6), _values, max_size=4).map(sparse)
+        case LexPlane():
+            return st.tuples(_values, _values).map(lambda p: lexpair(*p))
+        case IdentityLine():
+            return _values.map(line)
+    raise TypeError(f"unknown space {space!r}")
+
+
+@st.composite
+def unitized_cases(draw):
+    """A context and two elements; each ``lam`` is 0, > 0 or < 0, and a base part may be 0."""
+    ctx = draw(st.sampled_from(ALL_CTX + DOUBLED))
+
+    def element(lam_sign):
+        e = zero(ctx.space) if draw(st.integers(0, 4)) == 0 else draw(_base_elements(ctx.space))
+        return UnitizedElement(e, lam_sign * draw(_magnitudes))
+
+    a = element(draw(st.sampled_from((0, 1, -1))))
+    b = element(draw(st.sampled_from((0, 1, -1))))
+    if draw(st.integers(0, 3)) == 0:  # a - b has lam = 0
+        b = UnitizedElement(b.e, a.lam)
+    return ctx, a, b
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(unitized_cases())
+def test_positive_part_forms_match_half_sums(case):
+    ctx, a, b = case
+    assert abs_u(ctx, a) == ref_abs_u(ctx, a)
+    assert pos_u(ctx, a) == ref_join_u(ctx, a, ctx.zero)
+    assert neg_u(ctx, a) == ref_join_u(ctx, -a, ctx.zero)
+    assert join_u(ctx, a, b) == ref_join_u(ctx, a, b)
+    assert meet_u(ctx, a, b) == ref_meet_u(ctx, a, b)
+    assert is_positive(ctx, a) == ref_is_positive_u(ctx, a)
+    for c in (a, abs_u(ctx, a), pos_u(ctx, a)):
+        if ref_is_positive_u(ctx, c):
+            assert truncate_u(ctx, c) == ref_meet_u(ctx, c, ctx.one)
+        else:
+            with pytest.raises(NegativeInput):
+                truncate_u(ctx, c)
+
+
+def test_unitized_ops_make_one_truncation_and_two_scales(monkeypatch):
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(unitization, "truncate", counting("truncate", unitization.truncate))
+    monkeypatch.setattr(unitization, "scale", counting("scale", unitization.scale))
+    monkeypatch.setattr(Element, "__abs__", counting("abs", Element.__abs__))
+    # a module that imported ``join`` by name holds its own reference to it
+    base_join = spaces.join
+    monkeypatch.setattr(spaces, "join", counting("join", base_join))
+    monkeypatch.setattr(unitization, "join", counting("join", base_join), raising=False)
+
+    def count(op, *args):
+        counts.clear()
+        op(*args)
+        return counts["truncate"], counts["scale"], counts["join"]
+
+    for ctx in ALL_CTX + DOUBLED:
+        gen = SampleGen(107, ctx.space)
+        for _ in range(20):
+            x, y = gen.element(), gen.element()
+            lam = gen.rational(nonzero=True)
+            a, b = UnitizedElement(x, lam), UnitizedElement(y, lam / 2)
+            # lam != 0: one truncation, two base scalings, no base join
+            for op, args in ((pos_u, (a,)), (abs_u, (a,)), (join_u, (a, b)), (meet_u, (a, b))):
+                assert count(op, ctx, *args) == (1, 2, 0), op.__name__
+            # lam = 0: no truncation
+            base, flat = ctx.embed(x), UnitizedElement(y, lam)
+            for op, args in ((pos_u, (base,)), (neg_u, (base,)), (abs_u, (base,)),
+                             (join_u, (a, flat)), (meet_u, (a, flat))):
+                assert count(op, ctx, *args)[0] == 0, op.__name__
+            counts.clear()
+            is_positive(ctx, UnitizedElement(x, abs(lam)))
+            assert (counts["truncate"], counts["abs"]) == (1, 0)
+
+
+_LEX_ZERO = ue(lexpair(0, 0), 0)
+_UNITIZED_OPS = {
+    "pos_u": lambda bad: pos_u(SPARSE, bad),
+    "neg_u": lambda bad: neg_u(SPARSE, bad),
+    "abs_u": lambda bad: abs_u(SPARSE, bad),
+    "join_u": lambda bad: join_u(SPARSE, bad, _LEX_ZERO),
+    "meet_u": lambda bad: meet_u(SPARSE, bad, _LEX_ZERO),
+    "join_u mixed": lambda bad: join_u(SPARSE, bad, SPARSE.one),
+    "leq_u": lambda bad: leq_u(SPARSE, _LEX_ZERO, bad),
+    "is_positive": lambda bad: is_positive(SPARSE, bad),
+    "truncate_u": lambda bad: truncate_u(SPARSE, bad),
+}
+
+
+@pytest.mark.parametrize("lam", [0, 2, -2])
+@pytest.mark.parametrize("op", sorted(_UNITIZED_OPS))
+def test_every_unitized_op_checks_the_space(op, lam):
+    with pytest.raises(SpaceMismatch):
+        _UNITIZED_OPS[op](ue(lexpair(1, -2), lam))
 
 
 def test_identity_line_unitization_is_lexicographic():
