@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -118,16 +117,6 @@ def _parse_trunc(space, text: str | None):
     raise CliError(f"unknown truncation {text!r}")
 
 
-def _default_seed() -> int:
-    env = os.environ.get("TRUNCLAT_SEED")
-    if env is None:
-        return DEFAULT_SEED
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise CliError(f"TRUNCLAT_SEED must be an integer, got {env!r}") from exc
-
-
 def _run_assertion_file(path: str, cli_ctx: EvalContext, seed: int, trials: int) -> list[LawReport]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -165,13 +154,12 @@ def _run_assertion_file(path: str, cli_ctx: EvalContext, seed: int, trials: int)
 def cmd_check(args) -> int:
     space = _parse_space(args.space)
     trunc = _parse_trunc(space, args.trunc)
-    seed = args.seed if args.seed is not None else _default_seed()
     if args.trials < 1:
         raise CliError("--trials must be >= 1")
-    reports = run_suite(space, trunc, seed, args.trials)
+    reports = run_suite(space, trunc, args.seed, args.trials)
     if args.assertions:
         ctx = EvalContext(space, trunc, unitized=False)
-        reports = reports + _run_assertion_file(args.assertions, ctx, seed, args.trials)
+        reports = reports + _run_assertion_file(args.assertions, ctx, args.seed, args.trials)
     expected = expected_violations(LawContext(space, trunc))
     if args.format == "json":
         output = reports_to_jsonl(reports)
@@ -408,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="run the law suite for one configuration")
     check.add_argument("--space", help="sparse_seq | lex_plane | identity_line | finite_pointwise[:N] | JSON")
     check.add_argument("--trunc", help="meet_with_one | lex_meet_zero_one | identity | meet_with_unit | JSON")
-    check.add_argument("--seed", type=int, default=None, help="default: $TRUNCLAT_SEED or 42")
+    check.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"default: {DEFAULT_SEED}")
     check.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     check.add_argument("--out", help="write the report here instead of stdout")
     check.add_argument("--format", choices=("json", "table"), default="table")

@@ -1,16 +1,16 @@
 """Deterministic, seed-replayable sample streams for the law engine.
 
-Identical ``(seed, space, bounds)`` always yields the identical stream: the
-generator draws exclusively through :class:`random.Random` integer methods,
-whose Mersenne-twister behaviour is stable across platforms, and all values
-are exact rationals.  Magnitudes and sparse supports are bounded to keep
-exact arithmetic fast.
+Identical ``(seed, space)`` always yields the identical stream: the generator
+draws exclusively through :class:`random.Random` integer methods, whose
+Mersenne-twister behaviour is stable across platforms, and all values are
+exact rationals.  Numerators and denominators stay within ``MAX_MAGNITUDE``,
+and a sparse sample has at most ``MAX_SUPPORT`` indices, each at most
+``MAX_INDEX``, to keep exact arithmetic fast.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .spaces import (
@@ -28,21 +28,17 @@ from .unitization import UnitizationCtx, UnitizedElement, abs_u, pos_u
 
 _MASK64 = (1 << 64) - 1
 
-
-@dataclass(frozen=True)
-class Bounds:
-    max_index: int = 16
-    max_magnitude: int = 32
-    max_support: int = 4
+MAX_INDEX = 16
+MAX_MAGNITUDE = 32
+MAX_SUPPORT = 4
 
 
 class SampleGen:
     """A seeded stream of elements of one space."""
 
-    def __init__(self, seed: int, space: Space, bounds: Bounds | None = None):
+    def __init__(self, seed: int, space: Space):
         self.seed = int(seed) & _MASK64
         self.space = space
-        self.bounds = bounds or Bounds()
         self._rng = random.Random(self.seed)
 
     def randint(self, lo: int, hi: int) -> int:
@@ -53,54 +49,39 @@ class SampleGen:
         return self._rng.sample(range(1, upper + 1), self._rng.randint(0, upper))
 
     def rational(self, *, nonneg: bool = False, nonzero: bool = False) -> Fraction:
-        m = self.bounds.max_magnitude
-        den = self._rng.randint(1, m)
+        den = self._rng.randint(1, MAX_MAGNITUDE)
         if nonzero:
-            num = self._rng.randint(1, m)
+            num = self._rng.randint(1, MAX_MAGNITUDE)
             if not nonneg and self._rng.randint(0, 1):
                 num = -num
         else:
-            num = self._rng.randint(0 if nonneg else -m, m)
+            num = self._rng.randint(0 if nonneg else -MAX_MAGNITUDE, MAX_MAGNITUDE)
         return Fraction(num, den)
 
-    def _values(self, count: int, *, nonneg: bool, nonzero: bool) -> tuple[Fraction, ...]:
-        return tuple(self.rational(nonneg=nonneg, nonzero=nonzero) for _ in range(count))
-
-    def _sparse(self, *, nonneg: bool) -> Element:
-        k = self._rng.randint(0, self.bounds.max_support)
-        indices = sorted(self._rng.sample(range(1, self.bounds.max_index + 1), k))
-        return sparse({i: self.rational(nonneg=nonneg, nonzero=True) for i in indices})
+    def _draw(self, nonneg: bool) -> Element:
+        match self.space:
+            case FinitePointwise(dim):
+                return Element(self.space, tuple(self.rational(nonneg=nonneg) for _ in range(dim)))
+            case SparseSeq():
+                k = self._rng.randint(0, MAX_SUPPORT)
+                indices = sorted(self._rng.sample(range(1, MAX_INDEX + 1), k))
+                return sparse({i: self.rational(nonneg=nonneg, nonzero=True) for i in indices})
+            case LexPlane():
+                return Element(self.space, (self.rational(nonneg=nonneg), self.rational(nonneg=nonneg)))
+            case IdentityLine():
+                return Element(self.space, self.rational(nonneg=nonneg))
 
     def element(self) -> Element:
-        match self.space:
-            case FinitePointwise(dim):
-                return Element(self.space, self._values(dim, nonneg=False, nonzero=False))
-            case SparseSeq():
-                return self._sparse(nonneg=False)
-            case LexPlane():
-                return Element(self.space, self._values(2, nonneg=False, nonzero=False))
-            case IdentityLine():
-                return Element(self.space, self.rational())
-        raise TypeError(f"unknown space {self.space!r}")
+        return self._draw(nonneg=False)
 
     def positive(self) -> Element:
-        match self.space:
-            case FinitePointwise(dim):
-                return Element(self.space, self._values(dim, nonneg=True, nonzero=False))
-            case SparseSeq():
-                return self._sparse(nonneg=True)
-            case LexPlane():
-                # any pair with positive first coordinate is positive; mix in
-                # second-axis-only positives, which the lex order treats specially
-                if self._rng.randint(0, 3) == 0:
-                    return Element(self.space, (Fraction(0), self.rational(nonneg=True)))
-                return Element(
-                    self.space,
-                    (self.rational(nonneg=True, nonzero=True), self.rational()),
-                )
-            case IdentityLine():
-                return Element(self.space, self.rational(nonneg=True))
-        raise TypeError(f"unknown space {self.space!r}")
+        if isinstance(self.space, LexPlane):
+            # any pair with positive first coordinate is positive; mix in
+            # second-axis-only positives, which the lex order treats specially
+            if self._rng.randint(0, 3) == 0:
+                return Element(self.space, (Fraction(0), self.rational(nonneg=True)))
+            return Element(self.space, (self.rational(nonneg=True, nonzero=True), self.rational()))
+        return self._draw(nonneg=True)
 
     def pair(self) -> tuple[Element, Element]:
         return self.element(), self.element()

@@ -22,6 +22,18 @@ because a ``Fraction`` is always reduced with a positive denominator.  ``pos``,
 ``neg`` and ``abs`` are computed value by value in one pass over the payload
 (on ``LexPlane`` from the sign of the pair), with no zero element, negated copy
 or join built on the way; sparse results drop the zeros.
+
+Apart from ``zero`` and the wire format, three private walkers are the only
+code that reads the payload layout of each space (see ``Element``): ``_map``
+applies a function value by value, ``_zip`` combines two elements value by
+value (``map`` over dense tuples, an ordered merge of sparse payloads, one
+call on the line) and ``_values`` iterates the values of any payload.
+``add``, ``sub``, ``scale``, negation and the componentwise arms of the order
+operations go through them.  Three things keep their own arm: the lex order
+(``_lex_leq``, ``_lex_sign``), which is total rather than componentwise; the
+sparse ``leq`` (``_sparse_leq``), which stops at the first index that fails;
+and the sign filters of the sparse ``pos`` and ``neg``, which drop the zeros
+that ``_map`` never makes.
 """
 
 from __future__ import annotations
@@ -36,6 +48,7 @@ from .errors import DescriptorError, EmptySet, PreconditionViolated, SpaceMismat
 from .rational import coerce_rational, format_rational, parse_rational
 
 _ZERO = Fraction(0)
+_second = operator.itemgetter(1)
 
 
 # ---------------------------------------------------------------------------
@@ -102,31 +115,16 @@ class Element:
         return sub(self, other)
 
     def __neg__(self) -> "Element":
-        match self.space:
-            case FinitePointwise() | LexPlane():
-                return Element(self.space, tuple(-x for x in self.payload))
-            case SparseSeq():
-                return Element(self.space, tuple((k, -v) for k, v in self.payload))
-            case IdentityLine():
-                return Element(self.space, -self.payload)
-        raise TypeError(f"unknown space {self.space!r}")
+        return _map(self, operator.neg)
 
     def __rmul__(self, c) -> "Element":
         return scale(_coerce(c), self)
 
     def __abs__(self) -> "Element":
         """``a v (-a)``, value by value."""
-        p = self.payload
-        match self.space:
-            case FinitePointwise():
-                return Element(self.space, tuple(map(_abs_value, p)))
-            case SparseSeq():
-                return Element(self.space, tuple((k, _abs_value(v)) for k, v in p))
-            case LexPlane():
-                return -self if _lex_sign(p) < 0 else self
-            case IdentityLine():
-                return Element(self.space, _abs_value(p))
-        raise TypeError(f"unknown space {self.space!r}")
+        if isinstance(self.space, LexPlane):
+            return -self if _lex_sign(self.payload) < 0 else self
+        return _map(self, _abs_value)
 
     def __le__(self, other: "Element") -> bool:
         return leq(self, other)
@@ -180,7 +178,6 @@ def zero(space: Space) -> Element:
             return Element(space, (_ZERO, _ZERO))
         case IdentityLine():
             return Element(space, _ZERO)
-    raise TypeError(f"unknown space {space!r}")
 
 
 def support(a: Element) -> tuple[int, ...]:
@@ -207,6 +204,49 @@ def coeff(a: Element, index: int) -> Fraction:
 def _same_space(a: Element, b: Element) -> None:
     if a.space is not b.space and a.space != b.space:
         raise SpaceMismatch(f"{a.space!r} vs {b.space!r}")
+
+
+def _map(a: Element, f) -> Element:
+    """``f`` applied value by value.
+
+    On a sparse payload ``f`` must map nonzero values to nonzero values: the
+    result keeps every index of ``a``.
+    """
+    p = a.payload
+    match a.space:
+        case FinitePointwise() | LexPlane():
+            return Element(a.space, tuple(map(f, p)))
+        case SparseSeq():
+            return Element(a.space, tuple((k, f(v)) for k, v in p))
+        case IdentityLine():
+            return Element(a.space, f(p))
+
+
+def _zip(a: Element, b: Element, both, only_a, only_b) -> Element:
+    """``both`` applied to the values of ``a`` and ``b`` at each coordinate.
+
+    ``only_a`` and ``only_b`` serve the sparse merge (see ``_sparse_merge``).
+    """
+    _same_space(a, b)
+    match a.space:
+        case FinitePointwise() | LexPlane():
+            return Element(a.space, tuple(map(both, a.payload, b.payload)))
+        case SparseSeq():
+            return Element(a.space, _sparse_merge(a.payload, b.payload, both, only_a, only_b))
+        case IdentityLine():
+            return Element(a.space, both(a.payload, b.payload))
+
+
+def _values(a: Element) -> Iterable[Fraction]:
+    """The values of ``a``'s payload, in order (for a sparse payload, its nonzero values)."""
+    p = a.payload
+    match a.space:
+        case FinitePointwise() | LexPlane():
+            return p
+        case SparseSeq():
+            return map(_second, p)
+        case IdentityLine():
+            return (p,)
 
 
 def _sparse_merge(pa, pb, both, only_a, only_b) -> tuple:
@@ -265,6 +305,14 @@ def _abs_value(v: Fraction) -> Fraction:
     return -v if v.numerator < 0 else v
 
 
+def _nonneg(v: Fraction) -> bool:
+    return v.numerator >= 0
+
+
+def _le(x: Fraction, y: Fraction) -> bool:
+    return x.numerator * y.denominator <= y.numerator * x.denominator
+
+
 def _max(x: Fraction, y: Fraction) -> Fraction:
     return y if x.numerator * y.denominator < y.numerator * x.denominator else x
 
@@ -317,134 +365,66 @@ def _lex_leq(pa, pb) -> bool:
 
 
 def add(a: Element, b: Element) -> Element:
-    _same_space(a, b)
-    match a.space:
-        case FinitePointwise() | LexPlane():
-            return Element(a.space, tuple(x + y for x, y in zip(a.payload, b.payload)))
-        case SparseSeq():
-            return Element(a.space, _sparse_merge(a.payload, b.payload, operator.add, _keep, _keep))
-        case IdentityLine():
-            return Element(a.space, a.payload + b.payload)
-    raise TypeError(f"unknown space {a.space!r}")
+    return _zip(a, b, operator.add, _keep, _keep)
 
 
 def sub(a: Element, b: Element) -> Element:
-    _same_space(a, b)
-    match a.space:
-        case FinitePointwise() | LexPlane():
-            return Element(a.space, tuple(x - y for x, y in zip(a.payload, b.payload)))
-        case SparseSeq():
-            return Element(a.space, _sparse_merge(a.payload, b.payload, _diff, _keep, operator.neg))
-        case IdentityLine():
-            return Element(a.space, a.payload - b.payload)
-    raise TypeError(f"unknown space {a.space!r}")
+    return _zip(a, b, _diff, _keep, operator.neg)
 
 
 def scale(c, a: Element) -> Element:
     c = _coerce(c)
-    match a.space:
-        case FinitePointwise() | LexPlane():
-            return Element(a.space, tuple(c * x for x in a.payload))
-        case SparseSeq():
-            if not c.numerator:
-                return Element(a.space, ())
-            return Element(a.space, tuple((k, c * v) for k, v in a.payload))
-        case IdentityLine():
-            return Element(a.space, c * a.payload)
-    raise TypeError(f"unknown space {a.space!r}")
+    return _map(a, c.__mul__) if c.numerator else zero(a.space)
 
 
 def leq(a: Element, b: Element) -> bool:
     _same_space(a, b)
-    match a.space:
-        case FinitePointwise():
-            return all(
-                x.numerator * y.denominator <= y.numerator * x.denominator
-                for x, y in zip(a.payload, b.payload)
-            )
-        case SparseSeq():
-            return _sparse_leq(a.payload, b.payload)
-        case LexPlane():
-            return _lex_leq(a.payload, b.payload)
-        case IdentityLine():
-            x, y = a.payload, b.payload
-            return x.numerator * y.denominator <= y.numerator * x.denominator
-    raise TypeError(f"unknown space {a.space!r}")
+    if isinstance(a.space, LexPlane):
+        return _lex_leq(a.payload, b.payload)
+    if isinstance(a.space, SparseSeq):
+        return _sparse_leq(a.payload, b.payload)
+    return all(map(_le, _values(a), _values(b)))
 
 
 def join(a: Element, b: Element) -> Element:
-    _same_space(a, b)
-    match a.space:
-        case FinitePointwise():
-            return Element(a.space, tuple(map(_max, a.payload, b.payload)))
-        case SparseSeq():
-            return Element(a.space, _sparse_merge(a.payload, b.payload, _max, _pos_value, _pos_value))
-        case LexPlane():
-            # The lex order is total: the join is the larger pair, not the
-            # componentwise maximum.
-            return a if _lex_leq(b.payload, a.payload) else b
-        case IdentityLine():
-            return Element(a.space, _max(a.payload, b.payload))
-    raise TypeError(f"unknown space {a.space!r}")
+    if isinstance(a.space, LexPlane):
+        # The lex order is total: the join is the larger pair, not the
+        # componentwise maximum.
+        _same_space(a, b)
+        return a if _lex_leq(b.payload, a.payload) else b
+    return _zip(a, b, _max, _pos_value, _pos_value)
 
 
 def meet(a: Element, b: Element) -> Element:
-    _same_space(a, b)
-    match a.space:
-        case FinitePointwise():
-            return Element(a.space, tuple(map(_min, a.payload, b.payload)))
-        case SparseSeq():
-            return Element(a.space, _sparse_merge(a.payload, b.payload, _min, _neg_value, _neg_value))
-        case LexPlane():
-            return b if _lex_leq(b.payload, a.payload) else a
-        case IdentityLine():
-            return Element(a.space, _min(a.payload, b.payload))
-    raise TypeError(f"unknown space {a.space!r}")
+    if isinstance(a.space, LexPlane):
+        _same_space(a, b)
+        return b if _lex_leq(b.payload, a.payload) else a
+    return _zip(a, b, _min, _neg_value, _neg_value)
 
 
 def is_positive(a: Element) -> bool:
     """``0 <= a``, read from the signs of the payload in one pass."""
-    p = a.payload
-    match a.space:
-        case FinitePointwise():
-            return all(v.numerator >= 0 for v in p)
-        case SparseSeq():
-            return all(v.numerator >= 0 for _, v in p)
-        case LexPlane():
-            return _lex_sign(p) >= 0
-        case IdentityLine():
-            return p.numerator >= 0
-    raise TypeError(f"unknown space {a.space!r}")
+    if isinstance(a.space, LexPlane):
+        return _lex_sign(a.payload) >= 0
+    return all(map(_nonneg, _values(a)))
 
 
 def pos(a: Element) -> Element:
     """Positive part ``a v 0``, value by value."""
-    p = a.payload
-    match a.space:
-        case FinitePointwise():
-            return Element(a.space, tuple(map(_pos_value, p)))
-        case SparseSeq():
-            return Element(a.space, tuple(kv for kv in p if kv[1].numerator > 0))
-        case LexPlane():
-            return a if _lex_sign(p) >= 0 else Element(a.space, (_ZERO, _ZERO))
-        case IdentityLine():
-            return Element(a.space, _pos_value(p))
-    raise TypeError(f"unknown space {a.space!r}")
+    if isinstance(a.space, LexPlane):
+        return a if _lex_sign(a.payload) >= 0 else zero(a.space)
+    if isinstance(a.space, SparseSeq):  # the sign filter drops the zeros
+        return Element(a.space, tuple(kv for kv in a.payload if kv[1].numerator > 0))
+    return _map(a, _pos_value)
 
 
 def neg(a: Element) -> Element:
     """Negative part ``(-a) v 0``, value by value; always >= 0, with ``a = pos(a) - neg(a)``."""
-    p = a.payload
-    match a.space:
-        case FinitePointwise():
-            return Element(a.space, tuple(map(_neg_part, p)))
-        case SparseSeq():
-            return Element(a.space, tuple((k, -v) for k, v in p if v.numerator < 0))
-        case LexPlane():
-            return -a if _lex_sign(p) < 0 else Element(a.space, (_ZERO, _ZERO))
-        case IdentityLine():
-            return Element(a.space, _neg_part(p))
-    raise TypeError(f"unknown space {a.space!r}")
+    if isinstance(a.space, LexPlane):
+        return -a if _lex_sign(a.payload) < 0 else zero(a.space)
+    if isinstance(a.space, SparseSeq):
+        return Element(a.space, tuple((k, -v) for k, v in a.payload if v.numerator < 0))
+    return _map(a, _neg_part)
 
 
 def sup_finite(elements: Iterable[Element]) -> Element:
@@ -537,7 +517,6 @@ def space_to_json(space: Space) -> dict:
             return {"space": "lex_plane"}
         case IdentityLine():
             return {"space": "identity_line"}
-    raise TypeError(f"unknown space {space!r}")
 
 
 def space_from_json(obj) -> Space:
@@ -566,7 +545,6 @@ def element_to_json(a: Element):
             return {str(k): format_rational(v) for k, v in a.payload}
         case IdentityLine():
             return format_rational(a.payload)
-    raise TypeError(f"unknown space {a.space!r}")
 
 
 def element_from_json(space: Space, obj) -> Element:
@@ -590,4 +568,3 @@ def element_from_json(space: Space, obj) -> Element:
                 return Element(space, parse_rational(obj))
     except (ValueError, TypeError) as exc:
         raise DescriptorError(f"bad element payload {obj!r}: {exc}") from exc
-    raise TypeError(f"unknown space {space!r}")

@@ -11,6 +11,10 @@ The module also keeps these references:
 
 * the sparse kernel, a dict lookup of every index in either support, against
   which the ordered-merge primitives of ``trunclat.spaces`` are checked;
+* the linear kernel through the ``Fraction`` operators: ``add``, ``sub``,
+  ``scale`` and unary minus coordinate by coordinate on all four spaces (the
+  lex plane included), with a sparse result built by the dict reference,
+  against which the payload walkers of ``trunclat.spaces`` are checked;
 * the order kernel as first written: ``leq``, ``join`` and ``meet`` through the
   ``Fraction`` comparison operators and the ``max``/``min`` builtins, and
   ``pos = a v 0``, ``neg = (-a) v 0`` and ``abs = a v (-a)`` as joins, against
@@ -28,6 +32,7 @@ The module also keeps these references:
   ``trunclat.unitization`` are checked.
 """
 
+import operator
 from fractions import Fraction
 
 from trunclat import (
@@ -116,6 +121,34 @@ def ref_sparse_leq(pa, pb) -> bool:
     da = dict(pa)
     db = dict(pb)
     return all(da.get(k, Fraction(0)) <= db.get(k, Fraction(0)) for k in set(da) | set(db))
+
+
+def _ref_valuewise(fn, a: Element, b: Element) -> Element:
+    pa, pb = a.payload, b.payload
+    match a.space:
+        case FinitePointwise() | LexPlane():
+            return Element(a.space, tuple(fn(x, y) for x, y in zip(pa, pb)))
+        case SparseSeq():
+            return Element(a.space, ref_sparse_merge(pa, pb, fn))
+        case IdentityLine():
+            return Element(a.space, fn(pa, pb))
+    raise TypeError(f"unknown space {a.space!r}")
+
+
+def ref_add(a: Element, b: Element) -> Element:
+    return _ref_valuewise(operator.add, a, b)
+
+
+def ref_sub(a: Element, b: Element) -> Element:
+    return _ref_valuewise(operator.sub, a, b)
+
+
+def ref_scale(c: Fraction, a: Element) -> Element:
+    return _ref_valuewise(lambda x, _: c * x, a, a)
+
+
+def ref_negate(a: Element) -> Element:
+    return _ref_valuewise(lambda x, _: -x, a, a)
 
 
 def ref_leq(a: Element, b: Element) -> bool:

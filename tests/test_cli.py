@@ -194,17 +194,16 @@ def test_repro_ids(repro_id, capsys):
     assert capsys.readouterr().out.strip().endswith(f"REPRODUCED: {repro_id}")
 
 
-def test_seed_env_variable(tmp_path, monkeypatch, capsys):
-    out_a = tmp_path / "a.jsonl"
-    out_b = tmp_path / "b.jsonl"
+def test_seed_env_variable_is_ignored(tmp_path, monkeypatch):
+    # --seed is the one way to choose the seed: TRUNCLAT_SEED changes nothing
+    argv = ("check", "--space", "sparse_seq", "--trials", "20", "--format", "json", "--out")
+    out_unset = tmp_path / "unset.jsonl"
+    out_set = tmp_path / "set.jsonl"
+    monkeypatch.delenv("TRUNCLAT_SEED", raising=False)
+    assert run_cli(*argv, str(out_unset)) == 0
     monkeypatch.setenv("TRUNCLAT_SEED", "7")
-    assert run_cli("check", "--space", "sparse_seq", "--trials", "20",
-                   "--format", "json", "--out", str(out_a)) == 0
-    assert run_cli("check", "--space", "sparse_seq", "--seed", "7", "--trials", "20",
-                   "--format", "json", "--out", str(out_b)) == 0
-    assert out_a.read_bytes() == out_b.read_bytes()
-    monkeypatch.setenv("TRUNCLAT_SEED", "not-a-number")
-    assert run_cli("check", "--space", "sparse_seq", "--trials", "5") == 2
+    assert run_cli(*argv, str(out_set)) == 0
+    assert out_set.read_bytes() == out_unset.read_bytes()
 
 
 def test_check_byte_identical_across_processes(tmp_path):

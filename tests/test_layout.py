@@ -1,0 +1,94 @@
+"""The payload layout of each space is read in one place.
+
+In ``spaces.py`` only the payload walkers (``_map``, ``_zip``, ``_values``),
+``zero`` and the wire-format functions may dispatch on ``FinitePointwise`` or
+``IdentityLine``, by a ``case`` pattern or an ``isinstance`` call; every other
+function reaches the dense and scalar layouts through a walker.  In
+``sampling.py`` one ``match`` on the space draws every element.  Both rules
+are checked on the source with the standard ``ast`` module.
+"""
+
+import ast
+import os
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "trunclat")
+
+LAYOUT_NAMES = frozenset({"FinitePointwise", "IdentityLine"})
+LAYOUT_READERS = frozenset({
+    "_map",
+    "_zip",
+    "_values",
+    "zero",
+    "space_to_json",
+    "space_from_json",
+    "element_to_json",
+    "element_from_json",
+})
+
+
+def _parse(module: str) -> ast.Module:
+    with open(os.path.join(SRC, module), encoding="utf-8") as handle:
+        return ast.parse(handle.read())
+
+
+def _names(node: ast.AST) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def layout_dispatch(tree: ast.AST) -> list[str]:
+    """``function:line`` for each layout dispatch outside the functions allowed to read layouts."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or fn.name in LAYOUT_READERS:
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.MatchClass):
+                named = _names(node.cls)
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                named = set().union(*(_names(arg) for arg in node.args[1:]))
+            else:
+                continue
+            if named & LAYOUT_NAMES:
+                found.append(f"{fn.name}:{node.lineno}")
+    return found
+
+
+def space_matches(tree: ast.AST) -> list[int]:
+    """Lines of the ``match`` statements whose subject is a space."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Match) and ast.unparse(node.subject).split(".")[-1] == "space"
+    ]
+
+
+def test_only_the_walkers_read_dense_and_scalar_layouts():
+    found = layout_dispatch(_parse("spaces.py"))
+    assert not found, f"spaces.py dispatches on a payload layout outside the walkers: {', '.join(found)}"
+
+
+def test_sampling_draws_through_one_match():
+    lines = space_matches(_parse("sampling.py"))
+    assert len(lines) <= 1, f"sampling.py matches on the space more than once, at lines {lines}"
+
+
+def test_detects_layout_dispatch():
+    tree = ast.parse(
+        "def _map(a):\n"
+        "    match a.space:\n"
+        "        case FinitePointwise(): pass\n"
+        "def add(a):\n"
+        "    match a.space:\n"
+        "        case SparseSeq() | IdentityLine(): pass\n"
+        "def leq(a):\n"
+        "    return isinstance(a.space, (LexPlane, FinitePointwise))\n"
+        "def pos(a):\n"
+        "    return isinstance(a.space, LexPlane)\n"
+    )
+    assert layout_dispatch(tree) == ["add:6", "leq:8"]
+    tree = ast.parse(
+        "match self.space:\n    case _: pass\n"
+        "match space:\n    case _: pass\n"
+        "match kind:\n    case _: pass\n"
+    )
+    assert space_matches(tree) == [1, 3]

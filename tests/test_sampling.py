@@ -1,5 +1,4 @@
 from trunclat import (
-    Bounds,
     SampleGen,
     SparseSeq,
     catalog,
@@ -9,6 +8,7 @@ from trunclat import (
     unitize,
     zero,
 )
+from trunclat.sampling import MAX_INDEX, MAX_MAGNITUDE, MAX_SUPPORT
 
 SPACES = [ctx.space for ctx in catalog().values()]
 
@@ -29,13 +29,15 @@ def test_different_seeds_differ():
 
 
 def test_bounds_are_respected():
-    bounds = Bounds(max_index=5, max_magnitude=7, max_support=3)
-    gen = SampleGen(9, SparseSeq(), bounds)
+    assert (MAX_INDEX, MAX_MAGNITUDE, MAX_SUPPORT) == (16, 32, 4)
+    gen = SampleGen(9, SparseSeq())
     for _ in range(300):
         x = gen.element()
-        assert len(x.payload) <= 3
-        assert all(1 <= k <= 5 for k in support(x))
-        assert all(abs(v.numerator) <= 7 and v.denominator <= 7 for _, v in x.payload)
+        assert len(x.payload) <= MAX_SUPPORT
+        assert all(1 <= k <= MAX_INDEX for k in support(x))
+        assert all(
+            abs(v.numerator) <= MAX_MAGNITUDE and v.denominator <= MAX_MAGNITUDE for _, v in x.payload
+        )
 
 
 def test_positive_samples_are_positive():

@@ -6,13 +6,17 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     ref_abs,
+    ref_add,
     ref_join,
     ref_leq,
     ref_meet,
     ref_neg,
+    ref_negate,
     ref_pos,
+    ref_scale,
     ref_sparse_leq,
     ref_sparse_merge,
+    ref_sub,
 )
 from trunclat import (
     Element,
@@ -54,8 +58,8 @@ from trunclat import spaces
 SPACES = (FinitePointwise(3), SparseSeq(), LexPlane(), IdentityLine())
 
 
-def gens(seed=7, bounds=None):
-    return [SampleGen(seed, s, bounds) for s in SPACES]
+def gens(seed=7):
+    return [SampleGen(seed, s) for s in SPACES]
 
 
 # -- frozen examples ---------------------------------------------------------
@@ -325,6 +329,26 @@ def test_order_kernel_matches_fraction_operators(pair):
         assert neg(x) == ref_neg(x)
         assert abs(x) == ref_abs(x)
         assert spaces.is_positive(x) == ref_leq(zero(x.space), x)
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(kernel_pairs(), _scalars)
+# one example per space, each scaled by a negative rational
+@example((fp(1, -2, 3), fp(0, 5, Fraction(-1, 3))), Fraction(-3, 2))
+@example((sparse({1: 2, 4: -1}), sparse({1: -2, 3: 5})), Fraction(-1, 7))
+@example((lexpair(0, -3), lexpair(2, -5)), Fraction(-4))
+@example((line(Fraction(5, 2)), line(-1)), Fraction(-2, 3))
+def test_linear_kernel_matches_fraction_operators(pair, c):
+    a, b = pair
+    assert add(a, b) == ref_add(a, b)
+    assert sub(a, b) == ref_sub(a, b)
+    for x in (a, b):
+        assert -x == ref_negate(x)
+        assert scale(c, x) == ref_scale(c, x)
+        assert scale(Fraction(-5, 3), x) == ref_scale(Fraction(-5, 3), x)
+        assert scale(0, x) == zero(x.space)
+        if isinstance(x.space, SparseSeq):
+            assert scale(0, x).payload == ()
 
 
 def test_order_kernel_never_uses_fraction_rich_comparisons(monkeypatch):
