@@ -190,11 +190,13 @@ def cmd_eval(args) -> int:
         name, sep, payload = binding.partition("=")
         if not sep:
             raise CliError(f"--bind needs name=JSON, got {binding!r}")
+        if name in env:
+            raise CliError(f"variable {name!r} is bound more than once")
         try:
             obj = json.loads(payload)
         except json.JSONDecodeError as exc:
             raise CliError(f"bad JSON for binding {name!r}: {exc}") from exc
-        if args.unitize and isinstance(obj, dict) and "e" in obj and "lambda" in obj:
+        if args.unitize and isinstance(obj, dict) and ("e" in obj or "lambda" in obj):
             env[name] = unitized_from_json(space, obj)
         else:
             env[name] = element_from_json(space, obj)

@@ -20,6 +20,13 @@ space context only ``0`` (the zero element) is meaningful.  An expression may
 nest at most ``MAX_DEPTH`` levels deep, each bracket, scalar prefix and chained
 binary operator counting one; deeper input is a ``ParseError``.
 
+Terms are evaluated compile-once: :func:`compile_term` matches a term's shape
+a single time and returns a function of the variable bindings, so a term
+sampled over many trials pays for the dispatch once.  :func:`evaluate`
+compiles and calls in one step; :func:`check_assertion` keeps the compiled
+check of the last assertion and context it was given (compared by identity),
+so checking one assertion over many trials compiles it once.
+
 Assertion files carry one ``lhs REL rhs`` line each (``<=``, ``==``, ``>=``,
 or the disjointness relation ``_|_``), ``#`` comments, and an optional
 ``ctx:`` header holding a JSON object with ``space``, ``trunc`` and
@@ -29,6 +36,7 @@ or the disjointness relation ``_|_``), ``#`` comments, and an optional
 from __future__ import annotations
 
 import json
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -444,62 +452,112 @@ def free_variables(term: Term) -> frozenset[str]:
     return frozenset()
 
 
+def compile_term(term: Term, ctx: EvalContext) -> Callable[[Mapping[str, object]], object]:
+    """The term as a function of the environment, matched on its shape once.
+
+    Errors that depend on the environment or on a value (an unbound
+    variable, a nonzero constant outside a unitization, a negative ``tr``
+    argument) are raised when the function is called, in the left-to-right
+    order of the tree."""
+    lat = ctx.lattice
+    match term:
+        case Var(name):
+            return _compile_var(name, ctx.unitized, lat)
+        case RationalLit(value) if ctx.unitized:
+            return _constant(lat.scalar(value))
+        case RationalLit(value) if value == 0:
+            return _constant(lat.zero)
+        case RationalLit():
+            return _raising(
+                OneOutsideUnitization, "a nonzero scalar constant only makes sense in a unitization"
+            )
+        case One() if ctx.unitized:
+            return _constant(lat.one)
+        case One():
+            return _raising(OneOutsideUnitization, "the unit symbol requires a unitization context")
+        case Add(l, r):
+            return _binary(operator.add, l, r, ctx)
+        case Sub(l, r):
+            return _binary(operator.sub, l, r, ctx)
+        case Scale(c, inner):
+            f = compile_term(inner, ctx)
+            return lambda env: c * f(env)
+        case Join(l, r):
+            return _binary(lat.join, l, r, ctx)
+        case Meet(l, r):
+            return _binary(lat.meet, l, r, ctx)
+        case Abs(inner):
+            return _unary(lat.abs, inner, ctx)
+        case Pos(inner):
+            return _unary(lat.pos, inner, ctx)
+        case Neg(inner):
+            return _unary(lat.neg, inner, ctx)
+        case Trunc(inner):
+            f = compile_term(inner, ctx)
+            is_positive, truncate = lat.is_positive, lat.truncate
+
+            def trunc(env):
+                value = f(env)
+                if not is_positive(value):
+                    raise NegativeTruncArgument("tr(...) needs a positive argument")
+                return truncate(value)
+
+            return trunc
+    raise TypeError(f"unknown term {term!r}")
+
+
+def _constant(value):
+    return lambda env: value
+
+
+def _raising(error: type[Exception], message: str):
+    def fail(env):
+        raise error(message)
+
+    return fail
+
+
+def _binary(op, l: Term, r: Term, ctx: EvalContext):
+    left, right = compile_term(l, ctx), compile_term(r, ctx)
+    return lambda env: op(left(env), right(env))
+
+
+def _unary(op, inner: Term, ctx: EvalContext):
+    f = compile_term(inner, ctx)
+    return lambda env: op(f(env))
+
+
+def _compile_var(name: str, unitized: bool, lat):
+    if not unitized:
+        def base_var(env):
+            if name not in env:
+                raise UnboundVariable(f"unbound variable {name!r}")
+            value = env[name]
+            if not isinstance(value, Element):
+                raise EvalError(f"variable {name!r} is not a base element")
+            return value
+
+        return base_var
+    embed = lat.embed
+
+    def unitized_var(env):
+        if name not in env:
+            raise UnboundVariable(f"unbound variable {name!r}")
+        value = env[name]
+        if isinstance(value, Element):
+            return embed(value)
+        if isinstance(value, UnitizedElement):
+            return value
+        raise EvalError(f"variable {name!r} is not an element")
+
+    return unitized_var
+
+
 def evaluate(term: Term, env: Mapping[str, object], ctx: EvalContext):
     """Exact evaluation; returns an :class:`Element` (plain space context) or a
     :class:`UnitizedElement` (unitization context, where base elements in the
     environment are embedded automatically)."""
-    return _eval(term, env, ctx, ctx.lattice)
-
-
-def _eval(term: Term, env, ctx: EvalContext, lat):
-    match term:
-        case Var(name):
-            if name not in env:
-                raise UnboundVariable(f"unbound variable {name!r}")
-            value = env[name]
-            if not ctx.unitized:
-                if not isinstance(value, Element):
-                    raise EvalError(f"variable {name!r} is not a base element")
-                return value
-            if isinstance(value, Element):
-                return lat.embed(value)
-            if isinstance(value, UnitizedElement):
-                return value
-            raise EvalError(f"variable {name!r} is not an element")
-        case RationalLit(value):
-            if ctx.unitized:
-                return lat.scalar(value)
-            if value == 0:
-                return lat.zero
-            raise OneOutsideUnitization(
-                "a nonzero scalar constant only makes sense in a unitization"
-            )
-        case One():
-            if ctx.unitized:
-                return lat.one
-            raise OneOutsideUnitization("the unit symbol requires a unitization context")
-        case Add(l, r):
-            return _eval(l, env, ctx, lat) + _eval(r, env, ctx, lat)
-        case Sub(l, r):
-            return _eval(l, env, ctx, lat) - _eval(r, env, ctx, lat)
-        case Scale(c, inner):
-            return c * _eval(inner, env, ctx, lat)
-        case Join(l, r):
-            return lat.join(_eval(l, env, ctx, lat), _eval(r, env, ctx, lat))
-        case Meet(l, r):
-            return lat.meet(_eval(l, env, ctx, lat), _eval(r, env, ctx, lat))
-        case Abs(inner):
-            return lat.abs(_eval(inner, env, ctx, lat))
-        case Pos(inner):
-            return lat.pos(_eval(inner, env, ctx, lat))
-        case Neg(inner):
-            return lat.neg(_eval(inner, env, ctx, lat))
-        case Trunc(inner):
-            value = _eval(inner, env, ctx, lat)
-            if not lat.is_positive(value):
-                raise NegativeTruncArgument("tr(...) needs a positive argument")
-            return lat.truncate(value)
-    raise TypeError(f"unknown term {term!r}")
+    return compile_term(term, ctx)(env)
 
 
 @dataclass(frozen=True)
@@ -509,22 +567,50 @@ class AssertionOutcome:
     rhs_value: object
 
 
-def check_assertion(assertion: Assertion, env: Mapping[str, object], ctx: EvalContext) -> AssertionOutcome:
-    lhs = evaluate(assertion.lhs, env, ctx)
-    rhs = evaluate(assertion.rhs, env, ctx)
+def compile_assertion(
+    assertion: Assertion, ctx: EvalContext
+) -> Callable[[Mapping[str, object]], AssertionOutcome]:
+    """The assertion as a function of the environment; both sides are
+    evaluated, left first, before the relation is tested."""
+    lhs, rhs = compile_term(assertion.lhs, ctx), compile_term(assertion.rhs, ctx)
     lat = ctx.lattice
-    match assertion.relation:
+    relation = assertion.relation
+    match relation:
         case "<=":
-            holds = lat.leq(lhs, rhs)
+            holds = lat.leq
         case ">=":
-            holds = lat.leq(rhs, lhs)
+            leq = lat.leq
+            holds = lambda a, b: leq(b, a)
         case "==":
-            holds = lhs == rhs
+            holds = operator.eq
         case "_|_":
-            holds = lat.meet(lat.abs(lhs), lat.abs(rhs)) == lat.zero
+            meet, abs_, zero = lat.meet, lat.abs, lat.zero
+            holds = lambda a, b: meet(abs_(a), abs_(b)) == zero
         case _:
-            raise EvalError(f"unknown relation {assertion.relation!r}")
-    return AssertionOutcome(holds, lhs, rhs)
+            def holds(a, b):
+                raise EvalError(f"unknown relation {relation!r}")
+
+    def check(env):
+        left = lhs(env)
+        right = rhs(env)
+        return AssertionOutcome(holds(left, right), left, right)
+
+    return check
+
+
+# the last (assertion, ctx, compiled check) that check_assertion compiled
+_last_check: tuple = (None, None, None)
+
+
+def check_assertion(assertion: Assertion, env: Mapping[str, object], ctx: EvalContext) -> AssertionOutcome:
+    """Evaluate the assertion under ``env``.  The compiled check of the last
+    ``(assertion, ctx)`` pair, compared by identity, is kept, so a caller that
+    checks one assertion over many trials compiles it once."""
+    global _last_check
+    last = _last_check
+    if last[0] is not assertion or last[1] is not ctx:
+        last = _last_check = (assertion, ctx, compile_assertion(assertion, ctx))
+    return last[2](env)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,13 @@ Mersenne-twister behaviour is stable across platforms, and all values are
 exact rationals.  Numerators and denominators stay within ``MAX_MAGNITUDE``,
 and a sparse sample has at most ``MAX_SUPPORT`` indices, each at most
 ``MAX_INDEX``, to keep exact arithmetic fast.
+
+:meth:`SampleGen.rational` consumes the stream exactly as
+``Random.randint`` would, without calling it: ``randint(a, b)`` draws
+``getrandbits(k)`` with ``k = (b - a + 1).bit_length()`` until the value is
+below ``b - a + 1`` and adds ``a`` (CPython 3.10 to 3.13), and ``rational``
+makes those same ``getrandbits`` calls directly.  The value is read from a
+table of every ``Fraction(num, den)`` it can return, built once at import.
 """
 
 from __future__ import annotations
@@ -22,7 +29,6 @@ from .spaces import (
     SparseSeq,
     add,
     meet,
-    sparse,
 )
 from .unitization import UnitizationCtx, UnitizedElement, abs_u, pos_u
 
@@ -31,6 +37,20 @@ _MASK64 = (1 << 64) - 1
 MAX_INDEX = 16
 MAX_MAGNITUDE = 32
 MAX_SUPPORT = 4
+
+_M = MAX_MAGNITUDE
+# _FRACTIONS[(num + M) * M + den - 1] == Fraction(num, den) for |num| <= M, 1 <= den <= M
+_FRACTIONS = tuple(Fraction(num, den) for num in range(-_M, _M + 1) for den in range(1, _M + 1))
+
+
+def _below(bits, n: int) -> int:
+    """``randint(a, a + n - 1) - a``, drawn with the ``getrandbits`` calls that
+    ``randint`` makes."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
 
 
 class SampleGen:
@@ -49,14 +69,20 @@ class SampleGen:
         return self._rng.sample(range(1, upper + 1), self._rng.randint(0, upper))
 
     def rational(self, *, nonneg: bool = False, nonzero: bool = False) -> Fraction:
-        den = self._rng.randint(1, MAX_MAGNITUDE)
+        """``Fraction(num, den)`` with ``den = randint(1, M)`` and ``num`` from
+        ``randint(1, M)`` signed by ``randint(0, 1)`` (``nonzero``, unsigned if
+        also ``nonneg``), ``randint(0, M)`` (``nonneg``) or ``randint(-M, M)``."""
+        bits = self._rng.getrandbits
+        den = _below(bits, _M)  # den - 1
         if nonzero:
-            num = self._rng.randint(1, MAX_MAGNITUDE)
-            if not nonneg and self._rng.randint(0, 1):
+            num = _below(bits, _M) + 1
+            if not nonneg and _below(bits, 2):
                 num = -num
+        elif nonneg:
+            num = _below(bits, _M + 1)
         else:
-            num = self._rng.randint(0 if nonneg else -MAX_MAGNITUDE, MAX_MAGNITUDE)
-        return Fraction(num, den)
+            num = _below(bits, 2 * _M + 1) - _M
+        return _FRACTIONS[(num + _M) * _M + den]
 
     def _draw(self, nonneg: bool) -> Element:
         match self.space:
@@ -65,7 +91,9 @@ class SampleGen:
             case SparseSeq():
                 k = self._rng.randint(0, MAX_SUPPORT)
                 indices = sorted(self._rng.sample(range(1, MAX_INDEX + 1), k))
-                return sparse({i: self.rational(nonneg=nonneg, nonzero=True) for i in indices})
+                # sorted, unique, >= 1 and nonzero: already a sparse payload
+                payload = tuple((i, self.rational(nonneg=nonneg, nonzero=True)) for i in indices)
+                return Element(self.space, payload)
             case LexPlane():
                 return Element(self.space, (self.rational(nonneg=nonneg), self.rational(nonneg=nonneg)))
             case IdentityLine():

@@ -346,10 +346,13 @@ def unitized_to_json(a: UnitizedElement) -> dict:
 
 
 def unitized_from_json(space: Space, obj) -> UnitizedElement:
-    if not isinstance(obj, Mapping) or "e" not in obj or "lambda" not in obj:
+    if not isinstance(obj, Mapping):
         raise DescriptorError(
             f"unitized element must be an object with 'e' and 'lambda' keys: {obj!r}"
         )
+    for key in ("e", "lambda"):
+        if key not in obj:
+            raise DescriptorError(f"unitized element has no {key!r} key: {obj!r}")
     try:
         lam = parse_rational(obj["lambda"])
     except ValueError as exc:

@@ -29,7 +29,13 @@ The module also keeps these references:
   the two-scale join argument ``(1/lam) neg(x) v (-1/lam) pos(x)``, joins and
   meets as the half-sums ``(a + b +- |a - b|) / 2``, and the cone test through
   ``in_fixed_set``, against which the positive-part forms of
-  ``trunclat.unitization`` are checked.
+  ``trunclat.unitization`` are checked;
+* the sampler's rational draw as first written, through ``Random.randint``,
+  against which the ``getrandbits`` replay of ``SampleGen.rational`` is
+  checked, value by value and stream position by stream position;
+* the DSL's tree-walking evaluator, which re-matches every node on every
+  call, against which the compile-once evaluator of ``trunclat.dsl`` is
+  checked, values and errors alike.
 """
 
 import operator
@@ -37,11 +43,15 @@ from fractions import Fraction
 
 from trunclat import (
     Element,
+    EvalError,
     FinitePointwise,
     IdentityLine,
     LexPlane,
     NegativeInput,
+    NegativeTruncArgument,
+    OneOutsideUnitization,
     SparseSeq,
+    UnboundVariable,
     UnitizedElement,
     abs_u,
     coeff,
@@ -59,6 +69,8 @@ from trunclat import (
     truncate,
     zero,
 )
+from trunclat.dsl import Abs, Add, Join, Meet, Neg, One, Pos, RationalLit, Scale, Sub, Trunc, Var
+from trunclat.sampling import MAX_MAGNITUDE
 
 
 def _indices(*ues):
@@ -258,3 +270,71 @@ def ref_is_positive_u(ctx, a: UnitizedElement) -> bool:
     if a.lam == 0:
         return leq(zero(ctx.space), a.e)
     return in_fixed_set(ctx.trunc, scale(1 / a.lam, neg(a.e)))
+
+
+def ref_rational(rng, *, nonneg: bool = False, nonzero: bool = False) -> Fraction:
+    """``SampleGen.rational`` on the stream of ``rng``, through ``randint``."""
+    den = rng.randint(1, MAX_MAGNITUDE)
+    if nonzero:
+        num = rng.randint(1, MAX_MAGNITUDE)
+        if not nonneg and rng.randint(0, 1):
+            num = -num
+    else:
+        num = rng.randint(0 if nonneg else -MAX_MAGNITUDE, MAX_MAGNITUDE)
+    return Fraction(num, den)
+
+
+def ref_eval(term, env, ctx):
+    """``trunclat.dsl.evaluate`` as a tree walk that matches every node on every call."""
+    return _ref_eval(term, env, ctx, ctx.lattice)
+
+
+def _ref_eval(term, env, ctx, lat):
+    match term:
+        case Var(name):
+            if name not in env:
+                raise UnboundVariable(f"unbound variable {name!r}")
+            value = env[name]
+            if not ctx.unitized:
+                if not isinstance(value, Element):
+                    raise EvalError(f"variable {name!r} is not a base element")
+                return value
+            if isinstance(value, Element):
+                return lat.embed(value)
+            if isinstance(value, UnitizedElement):
+                return value
+            raise EvalError(f"variable {name!r} is not an element")
+        case RationalLit(value):
+            if ctx.unitized:
+                return lat.scalar(value)
+            if value == 0:
+                return lat.zero
+            raise OneOutsideUnitization(
+                "a nonzero scalar constant only makes sense in a unitization"
+            )
+        case One():
+            if ctx.unitized:
+                return lat.one
+            raise OneOutsideUnitization("the unit symbol requires a unitization context")
+        case Add(l, r):
+            return _ref_eval(l, env, ctx, lat) + _ref_eval(r, env, ctx, lat)
+        case Sub(l, r):
+            return _ref_eval(l, env, ctx, lat) - _ref_eval(r, env, ctx, lat)
+        case Scale(c, inner):
+            return c * _ref_eval(inner, env, ctx, lat)
+        case Join(l, r):
+            return lat.join(_ref_eval(l, env, ctx, lat), _ref_eval(r, env, ctx, lat))
+        case Meet(l, r):
+            return lat.meet(_ref_eval(l, env, ctx, lat), _ref_eval(r, env, ctx, lat))
+        case Abs(inner):
+            return lat.abs(_ref_eval(inner, env, ctx, lat))
+        case Pos(inner):
+            return lat.pos(_ref_eval(inner, env, ctx, lat))
+        case Neg(inner):
+            return lat.neg(_ref_eval(inner, env, ctx, lat))
+        case Trunc(inner):
+            value = _ref_eval(inner, env, ctx, lat)
+            if not lat.is_positive(value):
+                raise NegativeTruncArgument("tr(...) needs a positive argument")
+            return lat.truncate(value)
+    raise TypeError(f"unknown term {term!r}")

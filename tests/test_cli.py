@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from trunclat.cli import _parse_space, _parse_trunc, main
+from trunclat.dsl import compile_assertion
 from trunclat.engine import catalog
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -159,6 +160,47 @@ def test_check_assertions_file_with_header(tmp_path, capsys):
 def _one_error_line(capsys) -> bool:
     err = capsys.readouterr().err
     return len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_eval_repeated_binding_exits_two(capsys):
+    assert run_cli("eval", "x", "--bind", 'x={"1":"1/1"}', "--bind", 'x={"2":"1/1"}') == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "'x'" in err
+
+
+@pytest.mark.parametrize(
+    "payload, missing",
+    [('{"e":{"1":"1/1"}}', "lambda"), ('{"lambda":"1/2"}', "e")],
+)
+def test_eval_unitized_binding_names_the_missing_key(payload, missing, capsys):
+    assert run_cli("eval", "x", "--unitize", "--bind", f"x={payload}") == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert f"no '{missing}' key" in err and "invalid literal" not in err
+
+
+def test_check_compiles_each_assertion_once_per_file(tmp_path, monkeypatch, capsys):
+    compiled = []
+
+    def counting(assertion, ctx):
+        compiled.append(assertion)
+        return compile_assertion(assertion, ctx)
+
+    monkeypatch.setattr("trunclat.dsl.compile_assertion", counting)
+    law = tmp_path / "three.law"
+    law.write_text("x /\\ y <= x\n|x| >= x\ntr(|x|) <= |x|\n")
+    assert run_cli("check", "--space", "lex_plane", "--trials", "30", "--format", "json",
+                   "--assertions", str(law)) == 0
+    assert len(compiled) == 3
+    assert capsys.readouterr().out.count('"law_id":"assert:') == 3
+
+
+def test_check_assertion_evaluation_error_exits_two(tmp_path, capsys):
+    law = tmp_path / "unit.law"
+    law.write_text("x <= x\nx <= 1\n")
+    assert run_cli("check", "--space", "sparse_seq", "--trials", "5", "--assertions", str(law)) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: assertion at line 2 failed to evaluate")
 
 
 def test_check_out_to_a_missing_directory_exits_two(tmp_path, capsys):

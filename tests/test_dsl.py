@@ -5,7 +5,10 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import ref_eval
+
 from trunclat import (
+    Assertion,
     EvalContext,
     NegativeTruncArgument,
     OneOutsideUnitization,
@@ -28,7 +31,7 @@ from trunclat import (
     sparse,
     zero,
 )
-from trunclat.dsl import MAX_DEPTH, Abs, Add, Join, Meet, Neg, One, Pos, RationalLit, Scale, Sub, Trunc, Var
+from trunclat.dsl import MAX_DEPTH, RELATIONS, Abs, Add, Join, Meet, Neg, One, Pos, RationalLit, Scale, Sub, Trunc, Var, compile_term
 from trunclat.engine import REGISTRY
 
 CATALOG = catalog()
@@ -242,6 +245,92 @@ def test_check_assertion_disjoint_relation():
         assert check_assertion(a, {"x": gen.element()}, SPARSE_CTX).holds
     crossing = parse_assertion("x _|_ x")
     assert not check_assertion(crossing, {"x": sparse({1: 1})}, SPARSE_CTX).holds
+
+
+# -- the compiled evaluator against the tree walker ------------------------------
+
+def _outcome(fn, *args):
+    """The value, or the type and message of the error."""
+    try:
+        return "value", fn(*args)
+    except Exception as exc:  # every error must match, not only the DSL's
+        return "error", type(exc), str(exc)
+
+
+def _mixed_env(rng: random.Random, gen: SampleGen) -> dict:
+    """Each variable unbound, bound to a non-element, to a unitized or to a base element."""
+    env = {}
+    for name in ("x", "y", "z"):
+        kind = rng.randint(0, 7)
+        if kind == 1:
+            env[name] = Fraction(1, 2)
+        elif kind == 2:
+            env[name] = gen.unitized()
+        elif kind > 2:
+            env[name] = gen.element()
+    return env
+
+
+def _ref_check(assertion, env, ctx):
+    lhs = ref_eval(assertion.lhs, env, ctx)
+    rhs = ref_eval(assertion.rhs, env, ctx)
+    lat = ctx.lattice
+    holds = {
+        "<=": lambda: lat.leq(lhs, rhs),
+        ">=": lambda: lat.leq(rhs, lhs),
+        "==": lambda: lhs == rhs,
+        "_|_": lambda: lat.meet(lat.abs(lhs), lat.abs(rhs)) == lat.zero,
+    }[assertion.relation]()
+    return holds, lhs, rhs
+
+
+def _compiled_check(assertion, env, ctx):
+    outcome = check_assertion(assertion, env, ctx)
+    return outcome.holds, outcome.lhs_value, outcome.rhs_value
+
+
+@pytest.mark.parametrize("unitized", [False, True], ids=["base", "unitized"])
+@pytest.mark.parametrize("name", sorted(CATALOG))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(min_value=0, max_value=2**32))
+def test_compiled_evaluator_matches_the_tree_walker(name, unitized, seed):
+    ctx = EvalContext(CATALOG[name].space, CATALOG[name].trunc, unitized)
+    rng = random.Random(seed)
+    gen = SampleGen(seed, ctx.space)
+    for _ in range(4):
+        term = random_term(rng, max_depth=rng.randint(0, 4))
+        env = _mixed_env(rng, gen)
+        assert _outcome(evaluate, term, env, ctx) == _outcome(ref_eval, term, env, ctx), render(term)
+        assertion = Assertion(term, rng.choice(RELATIONS), random_term(rng, max_depth=2))
+        assert _outcome(_compiled_check, assertion, env, ctx) == _outcome(_ref_check, assertion, env, ctx)
+
+
+def test_compiled_term_is_reusable_across_environments():
+    term = parse("tr(|x| \\/ y) - x")
+    compiled = compile_term(term, SPARSE_CTX)
+    gen = SampleGen(11, SPARSE_CTX.space)
+    for _ in range(50):
+        env = {"x": gen.element(), "y": gen.element()}
+        assert compiled(env) == ref_eval(term, env, SPARSE_CTX)
+    # a value-dependent error is raised per call, not at compile time
+    with pytest.raises(UnboundVariable):
+        compiled({"y": gen.element()})
+    unit = compile_term(parse("1"), SPARSE_CTX)
+    with pytest.raises(OneOutsideUnitization):
+        unit({})
+
+
+def test_check_assertion_recompiles_for_another_assertion_or_context():
+    unitized_ctx = EvalContext(SPARSE_CTX.space, SPARSE_CTX.trunc, True)
+    env = {"x": sparse({1: 1})}
+    unit = parse_assertion("x <= 1")
+    holds, fails = parse_assertion("x <= x"), parse_assertion("x <= 0 - x")
+    for _ in range(2):
+        assert check_assertion(unit, env, unitized_ctx).holds
+        with pytest.raises(OneOutsideUnitization):
+            check_assertion(unit, env, SPARSE_CTX)
+        assert check_assertion(holds, env, SPARSE_CTX).holds
+        assert not check_assertion(fails, env, SPARSE_CTX).holds
 
 
 # -- assertion files ---------------------------------------------------------------

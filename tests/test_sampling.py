@@ -1,3 +1,8 @@
+import random
+
+import pytest
+from oracles import ref_rational
+
 from trunclat import (
     SampleGen,
     SparseSeq,
@@ -81,3 +86,44 @@ def test_rational_flags():
         assert gen.rational(nonzero=True) != 0
         q = gen.rational(nonneg=True, nonzero=True)
         assert q > 0
+
+
+# -- the rational draw replays randint's use of the stream -------------------
+
+FLAGS = [
+    {"nonneg": nonneg, "nonzero": nonzero} for nonneg in (False, True) for nonzero in (False, True)
+]
+
+
+@pytest.mark.parametrize("flags", FLAGS, ids=lambda f: "-".join(k for k, v in f.items() if v) or "plain")
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**63 + 5, 987654321])
+def test_rational_consumes_the_stream_as_randint_does(seed, flags):
+    gen = SampleGen(seed, SparseSeq())
+    ref = random.Random(gen.seed)
+    for _ in range(400):
+        assert gen.rational(**flags) == ref_rational(ref, **flags)
+    # the same stream position afterwards, not only the same values
+    assert gen._rng.getrandbits(32) == ref.getrandbits(32)
+
+
+def test_rational_interleaves_with_randint_draws():
+    # flags vary call by call and the stream is shared with randint and sample
+    gen = SampleGen(77, SparseSeq())
+    ref = random.Random(gen.seed)
+    for i in range(600):
+        flags = FLAGS[i % 4]
+        assert gen.rational(**flags) == ref_rational(ref, **flags)
+        assert gen.randint(0, 3) == ref.randint(0, 3)
+    assert gen.index_subset(9) == ref.sample(range(1, 10), ref.randint(0, 9))
+    assert gen._rng.getrandbits(32) == ref.getrandbits(32)
+
+
+def test_rational_makes_no_randint_call(monkeypatch):
+    def refuse(self, a, b):
+        raise AssertionError("rational() called Random.randint")
+
+    monkeypatch.setattr(random.Random, "randint", refuse)
+    gen = SampleGen(5, SparseSeq())
+    for flags in FLAGS:
+        for _ in range(50):
+            gen.rational(**flags)
