@@ -34,6 +34,11 @@ operations go through them.  Three things keep their own arm: the lex order
 sparse ``leq`` (``_sparse_leq``), which stops at the first index that fails;
 and the sign filters of the sparse ``pos`` and ``neg``, which drop the zeros
 that ``_map`` never makes.
+
+The linear operations build no ``Fraction`` whose value is known without
+arithmetic: ``add`` and ``sub`` give back the other operand (negated for
+``0 - y``) when one value is zero, ``scale`` leaves zero values as they are,
+and ``scale(1, a)`` is ``a`` itself.
 """
 
 from __future__ import annotations
@@ -321,8 +326,21 @@ def _min(x: Fraction, y: Fraction) -> Fraction:
     return y if y.numerator * x.denominator < x.numerator * y.denominator else x
 
 
+def _sum(x: Fraction, y: Fraction) -> Fraction:
+    # a zero operand gives the other value back without building a Fraction
+    if not y.numerator:
+        return x
+    if not x.numerator:
+        return y
+    return x + y
+
+
 def _diff(x: Fraction, y: Fraction) -> Fraction:
-    # equal values cancel without building a Fraction
+    # a zero operand, or equal values, need no subtraction
+    if not y.numerator:
+        return x
+    if not x.numerator:
+        return -y
     if x.numerator == y.numerator and x.denominator == y.denominator:
         return _ZERO
     return x - y
@@ -365,7 +383,7 @@ def _lex_leq(pa, pb) -> bool:
 
 
 def add(a: Element, b: Element) -> Element:
-    return _zip(a, b, operator.add, _keep, _keep)
+    return _zip(a, b, _sum, _keep, _keep)
 
 
 def sub(a: Element, b: Element) -> Element:
@@ -373,8 +391,14 @@ def sub(a: Element, b: Element) -> Element:
 
 
 def scale(c, a: Element) -> Element:
+    """``c * a``: ``a`` itself for ``c = 1``, and zero values stay as they are."""
     c = _coerce(c)
-    return _map(a, c.__mul__) if c.numerator else zero(a.space)
+    if not c.numerator:
+        return zero(a.space)
+    if c.numerator == c.denominator:
+        return a
+    mul = c.__mul__
+    return _map(a, lambda v: mul(v) if v.numerator else v)
 
 
 def leq(a: Element, b: Element) -> bool:

@@ -16,6 +16,13 @@ The fixed set of a truncation is ``{x : tr(|x|) = |x|}``; two truncations on
 the same space agree exactly when their fixed sets agree, which is what
 :func:`compare_fixed_sets` probes on samples.
 
+The unitization's order structure needs ``c * tr(p / c)`` for ``p >= 0`` and
+``c > 0``, which :func:`truncate_scaled` gives per kind without rescaling:
+``p ^ c*u`` for ``MeetWithUnit(u)`` (scaling by ``c > 0`` is a lattice
+automorphism, so this holds on the lex plane too), ``min(v, c)`` value by
+value for ``MeetWithOne``, ``p`` for the identity, and the definition itself
+for a fixture.
+
 A :class:`TruncationSpec` is the base lattice with its truncation, and
 :class:`~trunclat.unitization.UnitizationCtx` is the unitization with the
 meet with the adjoined unit.  Both carry one set of lattice methods
@@ -31,6 +38,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import DescriptorError, NegativeInput, PreconditionViolated, SpaceMismatch
+from .rational import coerce_rational
 from .report import LawReport
 from .spaces import (
     Element,
@@ -48,6 +56,7 @@ from .spaces import (
     meet,
     neg,
     pos,
+    scale,
     zero,
 )
 
@@ -182,6 +191,37 @@ def truncate(t: TruncationSpec, x: Element) -> Element:
             return x
         case FixtureTruncation(fn=fn):
             return fn(x)
+    raise TypeError(f"unknown truncation kind {t.kind!r}")
+
+
+def truncate_scaled(t: TruncationSpec, p: Element, c) -> Element:
+    """``c * tr(p / c)`` for ``p >= 0`` and rational ``c > 0``, with no rescaling for the catalog kinds.
+
+    Scaling by ``c > 0`` is a lattice automorphism, so ``c * (p/c ^ u)`` is
+    ``p ^ c*u`` on every space, the lex plane included, and
+    ``c * min(p/c, 1)`` is ``min(p, c)``; the identity gives ``p`` back.  A
+    fixture truncation is an arbitrary map and gets the definition itself.
+    """
+    if p.space is not t.space and p.space != t.space:
+        raise SpaceMismatch("element does not live on the truncation's space")
+    c = coerce_rational(c)
+    if c.numerator <= 0:
+        raise PreconditionViolated(f"truncate_scaled requires a scalar c > 0, got {c}")
+    if not is_positive(p):
+        raise NegativeInput(f"truncate_scaled requires a positive element, got {p!r}")
+    match t.kind:
+        case MeetWithUnit(unit=u):
+            return meet(p, scale(c, u))
+        case MeetWithOne():
+            # v < c by cross-multiplication: both denominators are positive
+            cn, cd = c.numerator, c.denominator
+            return Element(
+                p.space, tuple((k, v if v.numerator * cd < cn * v.denominator else c) for k, v in p.payload)
+            )
+        case IdentityTruncation():
+            return p
+        case FixtureTruncation():
+            return scale(c, truncate(t, scale(1 / c, p)))
     raise TypeError(f"unknown truncation kind {t.kind!r}")
 
 

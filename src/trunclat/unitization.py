@@ -9,13 +9,18 @@ For ``lam != 0`` let ``p`` be ``neg(x)`` if ``lam > 0`` and ``pos(x)`` if
     ``|x + lam| = |x| - 2T + |lam|``  and
     ``(x + lam)+ = ((x + lam) + |x + lam|) / 2 = pos(x) - T + max(lam, 0)``,
 
-with ``(x + lam)+ = pos(x)`` for ``lam = 0``.  Then ``a v b = b + (a - b)+`` and
-``a ^ b = a - (a - b)+``: exact rational algebra on the half-sums
-``(a + b +- |a - b|) / 2``, so the rules hold for any deterministic truncation
-map.  The tests cross-check them against the half-sum forms and a pointwise
-oracle.  The positive cone is ``lam = 0`` and ``x >= 0``, or ``lam > 0`` and
-``y = neg(x) / lam`` fixed by the truncation; the truncation on the
-unitization is the meet with the adjoined unit.
+with ``(x + lam)+ = pos(x)`` for ``lam = 0``.  ``T`` comes from
+:func:`~trunclat.truncation.truncate_scaled` with ``c = |lam|``, which needs
+no rescaling for the catalog kinds: ``min(p, |lam| u)`` for the meet
+truncations (``u = 1`` for ``meet_with_one``) and ``p`` for the identity.
+Then ``a v b = b + (a - b)+`` and ``a ^ b = a - (a - b)+``: exact rational
+algebra on the half-sums ``(a + b +- |a - b|) / 2``, so the rules hold for
+any deterministic truncation map.  The tests cross-check them against the
+half-sum forms and a pointwise oracle.  The positive cone is ``lam = 0`` and
+``x >= 0``, or ``lam > 0`` and ``y = neg(x) / lam`` fixed by the truncation,
+tested as ``lam tr(neg(x) / lam) = neg(x)``; the truncation on the
+unitization is the meet with the adjoined unit, so ``a`` is in its fixed set
+exactly when ``|a| <= 1``.
 
 :class:`UnitizationCtx` carries the same lattice methods as the base
 :class:`~trunclat.truncation.TruncationSpec` (``zero``, ``leq``, ``join``,
@@ -49,7 +54,7 @@ from .spaces import (
     support,
     zero,
 )
-from .truncation import TruncationSpec, in_fixed_set, truncate
+from .truncation import TruncationSpec, in_fixed_set, truncate_scaled
 from .report import LawReport
 
 _ZERO = Fraction(0)
@@ -152,19 +157,22 @@ def _base(ctx: UnitizationCtx, a: UnitizedElement) -> Element:
     return a.e
 
 
-def _cut(ctx: UnitizationCtx, a: UnitizedElement, k) -> Element:
-    """``k * |lam| tr(p / |lam|)`` for ``lam != 0``; ``p`` is ``neg(x)`` if ``lam > 0``, else ``pos(x)``."""
+def _cut(ctx: UnitizationCtx, a: UnitizedElement) -> Element:
+    """``T = |lam| tr(p / |lam|)`` for ``lam != 0``; ``p`` is ``neg(x)`` if ``lam > 0``, else ``pos(x)``."""
     lam_abs, p = (a.lam, neg(a.e)) if a.lam.numerator > 0 else (-a.lam, pos(a.e))
-    return scale(k * lam_abs, truncate(ctx.trunc, scale(1 / lam_abs, p)))
+    return truncate_scaled(ctx.trunc, p, lam_abs)
 
 
 def is_positive(ctx: UnitizationCtx, a: UnitizedElement) -> bool:
-    """Cone membership: for ``lam > 0``, ``y = neg(x)/lam >= 0`` must satisfy ``tr(y) = y``."""
+    """Cone membership: for ``lam > 0``, ``p = neg(x)`` must satisfy ``lam tr(p / lam) = p``.
+
+    That is ``tr(y) = y`` for ``y = neg(x) / lam``, without building ``y``.
+    """
     x = _base(ctx, a)
     if a.lam.numerator <= 0:
         return not a.lam.numerator and ctx.trunc.is_positive(x)
-    y = scale(1 / a.lam, neg(x))
-    return truncate(ctx.trunc, y) == y
+    p = neg(x)
+    return truncate_scaled(ctx.trunc, p, a.lam) == p
 
 
 def leq_u(ctx: UnitizationCtx, a: UnitizedElement, b: UnitizedElement) -> bool:
@@ -178,7 +186,7 @@ def lt_u(ctx: UnitizationCtx, a: UnitizedElement, b: UnitizedElement) -> bool:
 def pos_u(ctx: UnitizationCtx, a: UnitizedElement) -> UnitizedElement:
     x = _base(ctx, a)
     lam = a.lam if a.lam.numerator > 0 else _ZERO
-    return UnitizedElement(pos(x) - _cut(ctx, a, 1) if a.lam.numerator else pos(x), lam)
+    return UnitizedElement(pos(x) - _cut(ctx, a) if a.lam.numerator else pos(x), lam)
 
 
 def neg_u(ctx: UnitizationCtx, a: UnitizedElement) -> UnitizedElement:
@@ -187,7 +195,7 @@ def neg_u(ctx: UnitizationCtx, a: UnitizedElement) -> UnitizedElement:
 
 def abs_u(ctx: UnitizationCtx, a: UnitizedElement) -> UnitizedElement:
     x = _base(ctx, a)
-    return UnitizedElement(abs(x) - _cut(ctx, a, 2) if a.lam.numerator else abs(x), abs(a.lam))
+    return UnitizedElement(abs(x) - scale(2, _cut(ctx, a)) if a.lam.numerator else abs(x), abs(a.lam))
 
 
 def join_u(ctx: UnitizationCtx, a: UnitizedElement, b: UnitizedElement) -> UnitizedElement:
@@ -206,8 +214,8 @@ def truncate_u(ctx: UnitizationCtx, a: UnitizedElement) -> UnitizedElement:
 
 
 def in_fixed_u(ctx: UnitizationCtx, a: UnitizedElement) -> bool:
-    b = abs_u(ctx, a)
-    return truncate_u(ctx, b) == b
+    """Fixed-set membership ``|a| ^ 1 = |a|``, which is ``|a| <= 1``."""
+    return leq_u(ctx, abs_u(ctx, a), ctx.one)
 
 
 # ---------------------------------------------------------------------------

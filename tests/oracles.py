@@ -29,7 +29,9 @@ The module also keeps these references:
   the two-scale join argument ``(1/lam) neg(x) v (-1/lam) pos(x)``, joins and
   meets as the half-sums ``(a + b +- |a - b|) / 2``, and the cone test through
   ``in_fixed_set``, against which the positive-part forms of
-  ``trunclat.unitization`` are checked;
+  ``trunclat.unitization`` are checked, and fixed-set membership as
+  ``truncate_u(|a|) == |a|``, against which the order form ``|a| <= 1`` of
+  ``in_fixed_u`` is checked;
 * the sampler's rational draw as first written, through ``Random.randint``,
   against which the ``getrandbits`` replay of ``SampleGen.rational`` is
   checked, value by value and stream position by stream position;
@@ -67,6 +69,7 @@ from trunclat import (
     sup_finite,
     support,
     truncate,
+    truncate_u,
     zero,
 )
 from trunclat.dsl import Abs, Add, Join, Meet, Neg, One, Pos, RationalLit, Scale, Sub, Trunc, Var
@@ -270,6 +273,12 @@ def ref_is_positive_u(ctx, a: UnitizedElement) -> bool:
     if a.lam == 0:
         return leq(zero(ctx.space), a.e)
     return in_fixed_set(ctx.trunc, scale(1 / a.lam, neg(a.e)))
+
+
+def ref_in_fixed_u(ctx, a: UnitizedElement) -> bool:
+    """Fixed-set membership as first written: ``truncate_u(|a|) == |a|``."""
+    b = abs_u(ctx, a)
+    return truncate_u(ctx, b) == b
 
 
 def ref_rational(rng, *, nonneg: bool = False, nonzero: bool = False) -> Fraction:

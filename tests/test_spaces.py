@@ -351,6 +351,41 @@ def test_linear_kernel_matches_fraction_operators(pair, c):
             assert scale(0, x).payload == ()
 
 
+@st.composite
+def zero_heavy_elements(draw, space):
+    """An element of ``space`` with at least half its coordinates zero (rounded down; indices 1..8 when sparse)."""
+    n = {FinitePointwise: 4, SparseSeq: 8, LexPlane: 2, IdentityLine: 1}[type(space)]
+    zeros = draw(st.sets(st.integers(0, n - 1), min_size=n // 2, max_size=n))
+    values = [Fraction(0) if i in zeros else draw(_scalars.filter(bool)) for i in range(n)]
+    if isinstance(space, SparseSeq):
+        return sparse({i + 1: v for i, v in enumerate(values)})
+    if isinstance(space, IdentityLine):
+        return line(values[0])
+    return Element(space, tuple(values))
+
+
+@st.composite
+def zero_heavy_cases(draw):
+    space = draw(st.sampled_from((FinitePointwise(4), SparseSeq(), LexPlane(), IdentityLine())))
+    c = draw(st.one_of(st.sampled_from((Fraction(0), Fraction(1), Fraction(-1))), _scalars))
+    return draw(zero_heavy_elements(space)), draw(zero_heavy_elements(space)), c
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(zero_heavy_cases())
+def test_linear_kernel_with_zero_operands_matches_fraction_operators(case):
+    a, b, c = case
+    assert add(a, b) == ref_add(a, b)
+    assert sub(a, b) == ref_sub(a, b)
+    assert sub(b, a) == ref_sub(b, a)
+    for x in (a, b):
+        assert scale(c, x) == ref_scale(c, x)
+        assert scale(1, x) == x
+        assert add(x, zero(x.space)) == x == add(zero(x.space), x)
+        assert sub(x, zero(x.space)) == x
+        assert sub(zero(x.space), x) == ref_scale(Fraction(-1), x)
+
+
 def test_order_kernel_never_uses_fraction_rich_comparisons(monkeypatch):
     """The order kernel reads numerators and denominators, never ``Fraction.__lt__`` and kin."""
     cases = []

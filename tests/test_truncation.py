@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trunclat import (
     Decision,
     DescriptorError,
+    FinitePointwise,
     FixtureTruncation,
     IdentityLine,
     IdentityTruncation,
@@ -23,14 +25,17 @@ from trunclat import (
     check_tau2,
     check_tau3,
     compare_fixed_sets,
+    fp,
     fp_const,
     in_fixed_set,
+    join,
     line,
     lexpair,
     meet,
     scale,
     sparse,
     truncate,
+    truncate_scaled,
     truncation,
     truncation_from_json,
     truncation_to_json,
@@ -111,6 +116,65 @@ def test_meet_with_unit_matches_meet():
         x = gen.positive()
         assert truncate(t, x) == meet(x, u)
         assert in_fixed_set(t, x) == (abs(x) <= u)
+
+
+# -- c * tr(p / c) per kind ----------------------------------------------------
+
+SCALED_SPECS = (
+    *(config.trunc for config in CATALOG.values()),
+    truncation(LexPlane(), MeetWithUnit(lexpair(1, 0))),
+    truncation(SparseSeq(), MeetWithUnit(sparse({1: 1, 4: 2, 9: Fraction(1, 3)}))),
+    truncation(FinitePointwise(4), MeetWithUnit(fp(1, 0, Fraction(5, 2), 0))),
+    # not homogeneous: tr(x) = x ^ 1 v x/2, so c * tr(p / c) depends on c
+    truncation(
+        FinitePointwise(4),
+        FixtureTruncation("half_or_cap", lambda x: join(meet(x, fp_const(4, 1)), scale(Fraction(1, 2), x))),
+    ),
+)
+_nonneg = st.fractions(min_value=0, max_value=30, max_denominator=7)
+_scalars = st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=1000)
+
+
+def _positive_elements(space):
+    if isinstance(space, SparseSeq):
+        return st.dictionaries(st.integers(1, 12), _nonneg, max_size=6).map(sparse)
+    if isinstance(space, LexPlane):
+        positive = st.fractions(min_value=Fraction(1, 7), max_value=30, max_denominator=7)
+        signed = st.fractions(min_value=-30, max_value=30, max_denominator=7)
+        return st.one_of(st.tuples(positive, signed), st.tuples(st.just(0), _nonneg)).map(lambda v: lexpair(*v))
+    if isinstance(space, IdentityLine):
+        return _nonneg.map(line)
+    return st.lists(_nonneg, min_size=space.dim, max_size=space.dim).map(lambda v: fp(*v))
+
+
+@st.composite
+def scaled_cases(draw):
+    t = draw(st.sampled_from(SCALED_SPECS))
+    # c = 1 and c equal to a value of p are where a strict and a weak cut differ
+    c = draw(st.one_of(_scalars, st.just(Fraction(1)), st.sampled_from((Fraction(1, 2), 3, 7))))
+    return t, draw(_positive_elements(t.space)), Fraction(c)
+
+
+@settings(max_examples=800, derandomize=True, deadline=None)
+@given(scaled_cases())
+def test_truncate_scaled_is_the_rescaled_truncation(case):
+    t, p, c = case
+    assert truncate_scaled(t, p, c) == scale(c, truncate(t, scale(1 / c, p)))
+
+
+@pytest.mark.parametrize("t", SCALED_SPECS, ids=lambda t: f"{type(t.space).__name__}-{type(t.kind).__name__}")
+def test_truncate_scaled_rejects_bad_input(t):
+    if isinstance(t.space, FinitePointwise):
+        p = fp_const(t.space.dim, 1)
+    else:
+        p = {SparseSeq: sparse({2: 1}), LexPlane: lexpair(0, 1), IdentityLine: line(1)}[type(t.space)]
+    with pytest.raises(SpaceMismatch):
+        truncate_scaled(t, line(1) if isinstance(t.space, LexPlane) else lexpair(1, 1), 2)
+    with pytest.raises(NegativeInput):
+        truncate_scaled(t, -p, 2)
+    for c in (0, -1, Fraction(-1, 3)):
+        with pytest.raises(PreconditionViolated):
+            truncate_scaled(t, p, c)
 
 
 # -- axiom checks ------------------------------------------------------------

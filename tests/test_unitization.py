@@ -1,3 +1,4 @@
+import importlib
 from collections import Counter
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from trunclat import (
     fp,
     fp_const,
     in_fixed_set,
+    in_fixed_u,
     is_positive,
     join_u,
     leq,
@@ -54,6 +56,7 @@ from oracles import (
     o_meet,
     o_positive,
     ref_abs_u,
+    ref_in_fixed_u,
     ref_is_positive_u,
     ref_join_u,
     ref_meet_u,
@@ -185,10 +188,17 @@ def test_positive_part_forms_match_half_sums(case):
         else:
             with pytest.raises(NegativeInput):
                 truncate_u(ctx, c)
+    # x -> 2x can put |a| outside the cone, where truncate_u(|a|) is undefined
+    if ref_is_positive_u(ctx, abs_u(ctx, a)):
+        assert in_fixed_u(ctx, a) == ref_in_fixed_u(ctx, a)
+    else:
+        assert ctx in DOUBLED
 
 
-def test_unitized_ops_make_one_truncation_and_two_scales(monkeypatch):
+def test_unitized_ops_cut_through_one_truncate_scaled(monkeypatch):
+    truncation_module = importlib.import_module("trunclat.truncation")
     counts = Counter()
+    scales = []  # (module, scalar, element) of every scale call
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -197,36 +207,52 @@ def test_unitized_ops_make_one_truncation_and_two_scales(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(unitization, "truncate", counting("truncate", unitization.truncate))
-    monkeypatch.setattr(unitization, "scale", counting("scale", unitization.scale))
+    def recording(module):
+        def wrapper(c, a):
+            scales.append((module, c, a))
+            return spaces.scale(c, a)
+
+        return wrapper
+
+    monkeypatch.setattr(unitization, "truncate_scaled", counting("truncate_scaled", unitization.truncate_scaled))
+    monkeypatch.setattr(truncation_module, "truncate", counting("truncate", truncation_module.truncate))
+    monkeypatch.setattr(unitization, "scale", recording("unitization"))
+    monkeypatch.setattr(truncation_module, "scale", recording("truncation"))
     monkeypatch.setattr(Element, "__abs__", counting("abs", Element.__abs__))
     # a module that imported ``join`` by name holds its own reference to it
     base_join = spaces.join
     monkeypatch.setattr(spaces, "join", counting("join", base_join))
     monkeypatch.setattr(unitization, "join", counting("join", base_join), raising=False)
 
-    def count(op, *args):
+    def count(ctx, op, *args):
+        """(truncate_scaled, base truncate, rescalings of the argument, unitization scales, base joins)."""
         counts.clear()
-        op(*args)
-        return counts["truncate"], counts["scale"], counts["join"]
+        scales.clear()
+        op(ctx, *args)
+        unit = ctx.trunc.unit
+        rescalings = sum(1 for module, _, a in scales if module == "truncation" and a is not unit)
+        doublings = [c for module, c, _ in scales if module == "unitization"]
+        assert all(c == 2 for c in doublings), doublings
+        return counts["truncate_scaled"], counts["truncate"], rescalings, len(doublings), counts["join"]
 
     for ctx in ALL_CTX + DOUBLED:
+        # a catalog kind cuts in closed form; a fixture runs the definition c * tr(p / c)
+        fixture = ctx in DOUBLED
         gen = SampleGen(107, ctx.space)
         for _ in range(20):
             x, y = gen.element(), gen.element()
             lam = gen.rational(nonzero=True)
             a, b = UnitizedElement(x, lam), UnitizedElement(y, lam / 2)
-            # lam != 0: one truncation, two base scalings, no base join
-            for op, args in ((pos_u, (a,)), (abs_u, (a,)), (join_u, (a, b)), (meet_u, (a, b))):
-                assert count(op, ctx, *args) == (1, 2, 0), op.__name__
-            # lam = 0: no truncation
+            # lam != 0: one cut, and abs_u doubles it
+            for op, args, doubled in ((pos_u, (a,), 0), (abs_u, (a,), 1), (join_u, (a, b), 0), (meet_u, (a, b), 0)):
+                assert count(ctx, op, *args) == (1, fixture, 2 * fixture, doubled, 0), op.__name__
+            # lam = 0: no cut
             base, flat = ctx.embed(x), UnitizedElement(y, lam)
             for op, args in ((pos_u, (base,)), (neg_u, (base,)), (abs_u, (base,)),
                              (join_u, (a, flat)), (meet_u, (a, flat))):
-                assert count(op, ctx, *args)[0] == 0, op.__name__
-            counts.clear()
-            is_positive(ctx, UnitizedElement(x, abs(lam)))
-            assert (counts["truncate"], counts["abs"]) == (1, 0)
+                assert count(ctx, op, *args)[:2] == (0, 0), op.__name__
+            assert count(ctx, is_positive, UnitizedElement(x, abs(lam))) == (1, fixture, 2 * fixture, 0, 0)
+            assert counts["abs"] == 0
 
 
 _LEX_ZERO = ue(lexpair(0, 0), 0)
