@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from .dsl import (
-    EvalContext,
+    Lattice,
     check_assertion,
     evaluate,
     free_variables,
@@ -28,9 +28,6 @@ from .dsl import (
 from .engine import (
     LawContext,
     archimedean_check,
-    band,
-    band_component_holds,
-    band_projection_holds,
     catalog,
     cataloged_truncation,
     check_thm33_sup,
@@ -44,7 +41,6 @@ from .engine import (
     repro_example43,
     run_law,
     run_suite,
-    UnitizedBand,
 )
 from .errors import DslError, TrunclatError
 from .report import REFUTED, LawReport, render_table, reports_to_jsonl
@@ -58,20 +54,18 @@ from .spaces import (
     sparse,
 )
 from .truncation import check_tau3, truncate, truncation_from_json
-from .unitization import leq_u, meet_u, truncate_u, unitize, unitized_from_json, unitized_to_json
+from .unitization import (
+    UnitizationCtx,
+    leq_u,
+    meet_u,
+    truncate_u,
+    unitize,
+    unitized_from_json,
+    unitized_to_json,
+)
 
 DEFAULT_SEED = 42
 DEFAULT_TRIALS = 200
-
-REPRO_IDS = (
-    "lex-trunc-archimedean",
-    "identity-trunc-tau3",
-    "c00-ruc",
-    "unitization-not-ruc",
-    "thm33-sup",
-    "band-decomposition",
-)
-
 
 class CliError(Exception):
     pass
@@ -117,7 +111,7 @@ def _parse_trunc(space, text: str | None):
     raise CliError(f"unknown truncation {text!r}")
 
 
-def _run_assertion_file(path: str, cli_ctx: EvalContext, seed: int, trials: int) -> list[LawReport]:
+def _run_assertion_file(path: str, cli_lat: Lattice, seed: int, trials: int) -> list[LawReport]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             loaded = load_assertion_text(handle.read())
@@ -125,20 +119,18 @@ def _run_assertion_file(path: str, cli_ctx: EvalContext, seed: int, trials: int)
         raise CliError(f"cannot read assertions file: {exc}") from exc
     except TrunclatError as exc:
         raise CliError(f"bad assertions file: {exc}") from exc
-    ctx = loaded.ctx or cli_ctx
-    lat = ctx.lattice
+    lat = loaded.ctx or cli_lat
+    unitized = isinstance(lat, UnitizationCtx)
     reports = []
     for lineno, assertion in loaded.assertions:
         law_id = f"assert:{lineno:03d}"
-        gen = SampleGen(derive_seed(seed, law_id), ctx.space)
+        gen = SampleGen(derive_seed(seed, law_id), lat.space)
         names = sorted(free_variables(assertion.lhs) | free_variables(assertion.rhs))
         witness = None
         for _ in range(trials):
-            env = {
-                name: (gen.unitized() if ctx.unitized else gen.element()) for name in names
-            }
+            env = {name: (gen.unitized() if unitized else gen.element()) for name in names}
             try:
-                outcome = check_assertion(assertion, env, ctx)
+                outcome = check_assertion(assertion, env, lat)
             except DslError as exc:
                 raise CliError(f"assertion at line {lineno} failed to evaluate: {exc}") from exc
             if not outcome.holds:
@@ -158,8 +150,7 @@ def cmd_check(args) -> int:
         raise CliError("--trials must be >= 1")
     reports = run_suite(space, trunc, args.seed, args.trials)
     if args.assertions:
-        ctx = EvalContext(space, trunc, unitized=False)
-        reports = reports + _run_assertion_file(args.assertions, ctx, args.seed, args.trials)
+        reports = reports + _run_assertion_file(args.assertions, trunc, args.seed, args.trials)
     expected = expected_violations(LawContext(space, trunc))
     if args.format == "json":
         output = reports_to_jsonl(reports)
@@ -184,7 +175,7 @@ def cmd_check(args) -> int:
 def cmd_eval(args) -> int:
     space = _parse_space(args.space)
     trunc = _parse_trunc(space, args.trunc)
-    ctx = EvalContext(space, trunc, unitized=args.unitize)
+    lat = unitize(trunc) if args.unitize else trunc
     env = {}
     for binding in args.bind or ():
         name, sep, payload = binding.partition("=")
@@ -201,8 +192,8 @@ def cmd_eval(args) -> int:
         else:
             env[name] = element_from_json(space, obj)
     term = parse(args.expr)
-    value = evaluate(term, env, ctx)
-    print(json.dumps(ctx.lattice.to_json(value), separators=(",", ":")))
+    value = evaluate(term, env, lat)
+    print(json.dumps(lat.to_json(value), separators=(",", ":")))
     return 0
 
 
@@ -336,29 +327,13 @@ def _repro_thm33_sup(out) -> bool:
 
 
 def _repro_band_decomposition(out) -> bool:
-    seed = 1006
-    matched = 0
-    total = 500
-    for i in range(total):
-        dim = (i % 4) + 1
-        space = FinitePointwise(dim)
-        gen = SampleGen(derive_seed(seed, f"component:{i}"), space)
-        coords = gen.index_subset(dim)
-        x = gen.positive()
-        if band_component_holds(space, band(space, coords), x):
-            matched += 1
+    seed, total = 1006, 500
+    # each band law halves its trials: 125 components on each dimension 1..4, and 500 projections
+    components = [run_law(catalog(d)["finite_pointwise"], "band.component", seed, 250) for d in range(1, 5)]
+    projection = run_law(catalog()["finite_pointwise"], "band.project", seed, 2 * total)
+    matched = sum(r.trials for r in components if r.verdict == "pass")
+    good = projection.trials if projection.verdict == "pass" else 0
     out(f"band components matching the corner-join oracle: {matched}/{total}")
-
-    ctx = unitize(catalog()["finite_pointwise"].trunc)
-    space = ctx.space
-    good = 0
-    for i in range(total):
-        gen = SampleGen(derive_seed(seed, f"project:{i}"), space)
-        coords = gen.index_subset(space.dim)
-        include = bool(gen.randint(0, 1))
-        x = gen.unitized()
-        if band_projection_holds(ctx, UnitizedBand(band(space, coords), include), x):
-            good += 1
     out(f"unitized band projections disjoint, summing, and member-checked: {good}/{total}")
     return matched == total and good == total
 
@@ -371,6 +346,8 @@ _REPROS = {
     "thm33-sup": _repro_thm33_sup,
     "band-decomposition": _repro_band_decomposition,
 }
+
+REPRO_IDS = tuple(_REPROS)
 
 
 def cmd_repro(args) -> int:

@@ -15,22 +15,24 @@ multiplication is right-recursive)::
 Rational literals are ``p/q`` or unsigned integers; there is no unary minus
 (write ``0 - x``), and a negative literal therefore does not re-parse.  The
 bare token ``1`` denotes the adjoined unit of a unitization; any other
-scalar literal evaluates to that multiple of the unit there, while in a plain
-space context only ``0`` (the zero element) is meaningful.  An expression may
+scalar literal evaluates to that multiple of the unit there, while in a base
+lattice only ``0`` (the zero element) is meaningful.  An expression may
 nest at most ``MAX_DEPTH`` levels deep, each bracket, scalar prefix and chained
 binary operator counting one; deeper input is a ``ParseError``.
 
-Terms are evaluated compile-once: :func:`compile_term` matches a term's shape
-a single time and returns a function of the variable bindings, so a term
-sampled over many trials pays for the dispatch once.  :func:`evaluate`
-compiles and calls in one step; :func:`check_assertion` keeps the compiled
-check of the last assertion and context it was given (compared by identity),
-so checking one assertion over many trials compiles it once.
+The lattice is the context: terms are evaluated compile-once in a base
+``TruncationSpec`` or a ``UnitizationCtx``.  :func:`compile_term` matches a
+term's shape a single time and returns a function of the variable bindings,
+so a term sampled over many trials pays for the dispatch once.
+:func:`evaluate` compiles and calls in one step; :func:`check_assertion`
+keeps the compiled check of the last assertion and lattice it was given
+(compared by identity), so checking one assertion over many trials compiles
+it once.
 
 Assertion files carry one ``lhs REL rhs`` line each (``<=``, ``==``, ``>=``,
 or the disjointness relation ``_|_``), ``#`` comments, and an optional
-``ctx:`` header holding a JSON object with ``space``, ``trunc`` and
-``unitize`` keys.
+``ctx:`` header holding a JSON object with ``space``, ``trunc`` and an
+optional boolean ``unitize`` key.
 """
 
 from __future__ import annotations
@@ -40,21 +42,21 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 from .errors import (
     DescriptorError,
     EvalError,
+    NegativeInput,
     NegativeTruncArgument,
     OneOutsideUnitization,
     ParseError,
     UnboundVariable,
 )
 from .rational import Rational, format_rational
-from .spaces import Element, Space, space_from_json
+from .spaces import Element, space_from_json
 from .truncation import TruncationSpec, truncation_from_json
-from .unitization import UnitizationCtx, UnitizedElement
+from .unitization import UnitizationCtx, UnitizedElement, unitize
 
 
 # ---------------------------------------------------------------------------
@@ -429,16 +431,7 @@ def random_term(rng: random.Random, max_depth: int = 4, variables: Sequence[str]
 # Evaluator
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EvalContext:
-    space: Space
-    trunc: TruncationSpec
-    unitized: bool = False
-
-    @cached_property
-    def lattice(self) -> TruncationSpec | UnitizationCtx:
-        """The lattice terms are evaluated in: the base or its unitization."""
-        return UnitizationCtx(self.space, self.trunc) if self.unitized else self.trunc
+Lattice = TruncationSpec | UnitizationCtx
 
 
 def free_variables(term: Term) -> frozenset[str]:
@@ -452,18 +445,18 @@ def free_variables(term: Term) -> frozenset[str]:
     return frozenset()
 
 
-def compile_term(term: Term, ctx: EvalContext) -> Callable[[Mapping[str, object]], object]:
+def compile_term(term: Term, lat: Lattice) -> Callable[[Mapping[str, object]], object]:
     """The term as a function of the environment, matched on its shape once.
 
     Errors that depend on the environment or on a value (an unbound
     variable, a nonzero constant outside a unitization, a negative ``tr``
     argument) are raised when the function is called, in the left-to-right
     order of the tree."""
-    lat = ctx.lattice
+    unitized = isinstance(lat, UnitizationCtx)
     match term:
         case Var(name):
-            return _compile_var(name, ctx.unitized, lat)
-        case RationalLit(value) if ctx.unitized:
+            return _compile_var(name, lat)
+        case RationalLit(value) if unitized:
             return _constant(lat.scalar(value))
         case RationalLit(value) if value == 0:
             return _constant(lat.zero)
@@ -471,36 +464,37 @@ def compile_term(term: Term, ctx: EvalContext) -> Callable[[Mapping[str, object]
             return _raising(
                 OneOutsideUnitization, "a nonzero scalar constant only makes sense in a unitization"
             )
-        case One() if ctx.unitized:
+        case One() if unitized:
             return _constant(lat.one)
         case One():
             return _raising(OneOutsideUnitization, "the unit symbol requires a unitization context")
         case Add(l, r):
-            return _binary(operator.add, l, r, ctx)
+            return _binary(operator.add, l, r, lat)
         case Sub(l, r):
-            return _binary(operator.sub, l, r, ctx)
+            return _binary(operator.sub, l, r, lat)
         case Scale(c, inner):
-            f = compile_term(inner, ctx)
+            f = compile_term(inner, lat)
             return lambda env: c * f(env)
         case Join(l, r):
-            return _binary(lat.join, l, r, ctx)
+            return _binary(lat.join, l, r, lat)
         case Meet(l, r):
-            return _binary(lat.meet, l, r, ctx)
+            return _binary(lat.meet, l, r, lat)
         case Abs(inner):
-            return _unary(lat.abs, inner, ctx)
+            return _unary(lat.abs, inner, lat)
         case Pos(inner):
-            return _unary(lat.pos, inner, ctx)
+            return _unary(lat.pos, inner, lat)
         case Neg(inner):
-            return _unary(lat.neg, inner, ctx)
+            return _unary(lat.neg, inner, lat)
         case Trunc(inner):
-            f = compile_term(inner, ctx)
-            is_positive, truncate = lat.is_positive, lat.truncate
+            f = compile_term(inner, lat)
+            truncate = lat.truncate
 
             def trunc(env):
                 value = f(env)
-                if not is_positive(value):
-                    raise NegativeTruncArgument("tr(...) needs a positive argument")
-                return truncate(value)
+                try:
+                    return truncate(value)
+                except NegativeInput:
+                    raise NegativeTruncArgument("tr(...) needs a positive argument") from None
 
             return trunc
     raise TypeError(f"unknown term {term!r}")
@@ -517,18 +511,18 @@ def _raising(error: type[Exception], message: str):
     return fail
 
 
-def _binary(op, l: Term, r: Term, ctx: EvalContext):
-    left, right = compile_term(l, ctx), compile_term(r, ctx)
+def _binary(op, l: Term, r: Term, lat: Lattice):
+    left, right = compile_term(l, lat), compile_term(r, lat)
     return lambda env: op(left(env), right(env))
 
 
-def _unary(op, inner: Term, ctx: EvalContext):
-    f = compile_term(inner, ctx)
+def _unary(op, inner: Term, lat: Lattice):
+    f = compile_term(inner, lat)
     return lambda env: op(f(env))
 
 
-def _compile_var(name: str, unitized: bool, lat):
-    if not unitized:
+def _compile_var(name: str, lat: Lattice):
+    if not isinstance(lat, UnitizationCtx):
         def base_var(env):
             if name not in env:
                 raise UnboundVariable(f"unbound variable {name!r}")
@@ -553,11 +547,11 @@ def _compile_var(name: str, unitized: bool, lat):
     return unitized_var
 
 
-def evaluate(term: Term, env: Mapping[str, object], ctx: EvalContext):
-    """Exact evaluation; returns an :class:`Element` (plain space context) or a
-    :class:`UnitizedElement` (unitization context, where base elements in the
-    environment are embedded automatically)."""
-    return compile_term(term, ctx)(env)
+def evaluate(term: Term, env: Mapping[str, object], lat: Lattice):
+    """Exact evaluation; returns an :class:`Element` in a base lattice or a
+    :class:`UnitizedElement` in a unitization, where base elements in the
+    environment are embedded automatically."""
+    return compile_term(term, lat)(env)
 
 
 @dataclass(frozen=True)
@@ -568,12 +562,11 @@ class AssertionOutcome:
 
 
 def compile_assertion(
-    assertion: Assertion, ctx: EvalContext
+    assertion: Assertion, lat: Lattice
 ) -> Callable[[Mapping[str, object]], AssertionOutcome]:
     """The assertion as a function of the environment; both sides are
     evaluated, left first, before the relation is tested."""
-    lhs, rhs = compile_term(assertion.lhs, ctx), compile_term(assertion.rhs, ctx)
-    lat = ctx.lattice
+    lhs, rhs = compile_term(assertion.lhs, lat), compile_term(assertion.rhs, lat)
     relation = assertion.relation
     match relation:
         case "<=":
@@ -598,18 +591,18 @@ def compile_assertion(
     return check
 
 
-# the last (assertion, ctx, compiled check) that check_assertion compiled
+# the last (assertion, lattice, compiled check) that check_assertion compiled
 _last_check: tuple = (None, None, None)
 
 
-def check_assertion(assertion: Assertion, env: Mapping[str, object], ctx: EvalContext) -> AssertionOutcome:
-    """Evaluate the assertion under ``env``.  The compiled check of the last
-    ``(assertion, ctx)`` pair, compared by identity, is kept, so a caller that
-    checks one assertion over many trials compiles it once."""
+def check_assertion(assertion: Assertion, env: Mapping[str, object], lat: Lattice) -> AssertionOutcome:
+    """Evaluate the assertion under ``env`` in ``lat``.  The compiled check of
+    the last ``(assertion, lat)`` pair, compared by identity, is kept, so a
+    caller that checks one assertion over many trials compiles it once."""
     global _last_check
     last = _last_check
-    if last[0] is not assertion or last[1] is not ctx:
-        last = _last_check = (assertion, ctx, compile_assertion(assertion, ctx))
+    if last[0] is not assertion or last[1] is not lat:
+        last = _last_check = (assertion, lat, compile_assertion(assertion, lat))
     return last[2](env)
 
 
@@ -619,16 +612,20 @@ def check_assertion(assertion: Assertion, env: Mapping[str, object], ctx: EvalCo
 
 @dataclass(frozen=True)
 class AssertionFile:
-    ctx: EvalContext | None
+    ctx: Lattice | None
     assertions: tuple[tuple[int, Assertion], ...]
 
 
-def eval_context_from_json(obj) -> EvalContext:
+def lattice_from_json(obj) -> Lattice:
+    """The lattice a ``ctx:`` header names: the base, or its unitization if ``unitize``."""
     if not isinstance(obj, Mapping) or "space" not in obj or "trunc" not in obj:
         raise DescriptorError("ctx header needs 'space' and 'trunc' keys")
+    unitized = obj.get("unitize", False)
+    if not isinstance(unitized, bool):
+        raise DescriptorError(f"ctx header 'unitize' must be true or false, got {unitized!r}")
     space = space_from_json(obj["space"])
     trunc = truncation_from_json(space, obj["trunc"])
-    return EvalContext(space, trunc, bool(obj.get("unitize", False)))
+    return unitize(trunc) if unitized else trunc
 
 
 def load_assertion_text(text: str) -> AssertionFile:
@@ -644,7 +641,7 @@ def load_assertion_text(text: str) -> AssertionFile:
             if ctx is not None:
                 raise DescriptorError(f"line {lineno}: duplicate ctx header")
             try:
-                ctx = eval_context_from_json(json.loads(stripped[4:].strip()))
+                ctx = lattice_from_json(json.loads(stripped[4:].strip()))
             except json.JSONDecodeError as exc:
                 raise DescriptorError(f"line {lineno}: bad ctx JSON: {exc}") from exc
             continue

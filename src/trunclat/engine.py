@@ -17,7 +17,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import EmptySet, InvalidCertificate, NegativeInput, PreconditionViolated, SpaceMismatch
@@ -673,12 +673,6 @@ def in_unitized_band(ctx: UnitizationCtx, b: UnitizedBand, z: UnitizedElement) -
     return all(v == 0 for v in outside) and (b.include_complement or z.lam == 0)
 
 
-def band_component_holds(space: FinitePointwise, b: Band, x: Element) -> bool:
-    """The two routes to the band component of ``x >= 0`` agree, and it lies in ``[0, x]``."""
-    got = band_component(space, b, x)
-    return got == band_component_join(space, b, x) and is_positive(got) and leq(got, x)
-
-
 def band_projection_holds(ctx: UnitizationCtx, b: UnitizedBand, x: UnitizedElement) -> bool:
     """The projection onto ``b`` and the remainder sum to ``x``, are disjoint, and
     lie in ``b`` and in its complementary band."""
@@ -704,18 +698,6 @@ class Law:
     applies: Callable[[LawContext], bool] = lambda ctx: True
     divisor: int = 1
     dsl: tuple[str, ...] = ()
-
-
-def _wit_el(x: Element):
-    return element_to_json(x)
-
-
-def _law_tau1(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
-    return check_tau1(ctx.trunc, [gen.positive_pair() for _ in range(n)], gen.seed)
-
-
-def _law_tau2(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
-    return check_tau2(ctx.trunc, [gen.positive() for _ in range(n)], gen.seed)
 
 
 def _law_tau3(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
@@ -747,14 +729,6 @@ def decision_report(
     else:
         detail = "symbolic witness failed re-check"
     return LawReport.refuted(law_id, bound, seed, witness, detail=detail)
-
-
-def _law_prop21(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
-    return check_prop21(ctx.trunc, [gen.positive_pair() for _ in range(n)], gen.seed)
-
-
-def _law_prop22(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
-    return check_prop22(ctx.trunc, [gen.positive_pair() for _ in range(n)], gen.seed)
 
 
 def _law_lemma23_self(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
@@ -819,9 +793,9 @@ def _law_chain_decompose(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
                 ok = False
         if not ok:
             witness = {
-                "u": _wit_el(u),
-                "v": _wit_el(v),
-                "chain": [_wit_el(x) for x in chain],
+                "u": element_to_json(u),
+                "v": element_to_json(v),
+                "chain": [element_to_json(x) for x in chain],
             }
             return LawReport.refuted("chain.decompose", n, gen.seed, witness)
     return LawReport.passed("chain.decompose", n, gen.seed)
@@ -836,7 +810,7 @@ def _law_chain_sup(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
             xs.append(xs[-1] + gen.positive())
             ys.append(ys[-1] + gen.positive())
         if not check_chain_sup_additivity(xs, ys):
-            witness = {"x": [_wit_el(x) for x in xs], "y": [_wit_el(y) for y in ys]}
+            witness = {"x": [element_to_json(x) for x in xs], "y": [element_to_json(y) for y in ys]}
             return LawReport.refuted("chain.sup_additivity", n, gen.seed, witness)
     return LawReport.passed("chain.sup_additivity", n, gen.seed)
 
@@ -1027,20 +1001,16 @@ def _law_triangle(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
     return LawReport.passed("unitization.triangle", n, gen.seed)
 
 
-def _on_unitization(check: Callable, pairs: bool = True):
-    """A law body that runs a base axiom ``check`` on the unitization's positive cone.
-
-    Each trial draws one positive unitized element, or a pair of them drawn
-    first then second.
-    """
+def _on_positives(check: Callable, unitized: bool = False, pairs: bool = True):
+    """A law body that runs an axiom ``check`` on the positive cone of the base,
+    or of the unitization if ``unitized``; each trial draws one positive
+    element, or a pair of them drawn first then second."""
 
     def run(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
-        uctx = ctx.uctx
-        if pairs:
-            samples = [(gen.positive_unitized(uctx), gen.positive_unitized(uctx)) for _ in range(n)]
-        else:
-            samples = [gen.positive_unitized(uctx) for _ in range(n)]
-        return check(uctx, samples, gen.seed)
+        lat = ctx.uctx if unitized else ctx.trunc
+        draw = partial(gen.positive_unitized, lat) if unitized else gen.positive
+        samples = [(draw(), draw()) if pairs else draw() for _ in range(n)]
+        return check(lat, samples, gen.seed)
 
     return run
 
@@ -1063,9 +1033,10 @@ def _law_band_component(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
     for _ in range(n):
         b = band(space, gen.index_subset(space.dim))
         x = gen.positive()
-        if not band_component_holds(space, b, x):
-            got = band_component(space, b, x)
-            witness = {"coords": sorted(b.coords), "x": _wit_el(x), "got": _wit_el(got)}
+        # the two routes to the component of x >= 0 agree, and it lies in [0, x]
+        got = band_component(space, b, x)
+        if not (got == band_component_join(space, b, x) and is_positive(got) and leq(got, x)):
+            witness = {"coords": sorted(b.coords), "x": element_to_json(x), "got": element_to_json(got)}
             return LawReport.refuted("band.component", n, gen.seed, witness)
     return LawReport.passed("band.component", n, gen.seed)
 
@@ -1113,11 +1084,11 @@ REGISTRY: tuple[Law, ...] = (
     Law("chain.sup_additivity", _law_chain_sup, divisor=5),
     Law("lemma23.self", _law_lemma23_self, divisor=10),
     Law("lemma54.transfer", _law_lemma54, divisor=10),
-    Law("prop21", _law_prop21, dsl=_DSL_PROP21),
-    Law("prop22", _law_prop22, dsl=_DSL_PROP22),
+    Law("prop21", _on_positives(check_prop21), dsl=_DSL_PROP21),
+    Law("prop22", _on_positives(check_prop22), dsl=_DSL_PROP22),
     Law("remark34.sup", _law_remark34, applies=lambda c: c.trunc.unital, divisor=20),
-    Law("tau1", _law_tau1, dsl=_DSL_TAU1),
-    Law("tau2", _law_tau2),
+    Law("tau1", _on_positives(check_tau1), dsl=_DSL_TAU1),
+    Law("tau2", _on_positives(check_tau2, pairs=False)),
     Law("tau3", _law_tau3),
     Law("thm11.density", _law_thm11_density, applies=lambda c: not c.trunc.unital, divisor=10),
     Law("thm11.fixedset", _law_thm11_fixedset),
@@ -1128,10 +1099,10 @@ REGISTRY: tuple[Law, ...] = (
     Law("thm62.disjoint_scalars", _law_thm62, divisor=2),
     Law("unitization.abs_lub", _law_abs_lub, divisor=5),
     Law("unitization.cone_sanity", _law_cone_sanity),
-    Law("unitization.prop21", _on_unitization(check_prop21), divisor=5),
+    Law("unitization.prop21", _on_positives(check_prop21, unitized=True), divisor=5),
     Law("unitization.prop22", _law_unitized_prop22, divisor=5),
-    Law("unitization.tau1", _on_unitization(check_tau1), divisor=5),
-    Law("unitization.tau2", _on_unitization(check_tau2, pairs=False), divisor=5),
+    Law("unitization.tau1", _on_positives(check_tau1, unitized=True), divisor=5),
+    Law("unitization.tau2", _on_positives(check_tau2, unitized=True, pairs=False), divisor=5),
     Law("unitization.triangle", _law_triangle, divisor=2),
 )
 

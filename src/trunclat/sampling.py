@@ -111,12 +111,6 @@ class SampleGen:
             return Element(self.space, (self.rational(nonneg=True, nonzero=True), self.rational()))
         return self._draw(nonneg=True)
 
-    def pair(self) -> tuple[Element, Element]:
-        return self.element(), self.element()
-
-    def positive_pair(self) -> tuple[Element, Element]:
-        return self.positive(), self.positive()
-
     def increasing_chain(self, length: int, cap: Element) -> tuple[Element, ...]:
         """An increasing chain ``0 <= x_1 <= ... <= x_n <= cap`` (``cap >= 0``)."""
         out = []

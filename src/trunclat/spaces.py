@@ -67,8 +67,9 @@ class FinitePointwise:
     dim: int
 
     def __post_init__(self) -> None:
-        # a dimension past sys.maxsize cannot index a tuple: refuse it here, not deep in an op
-        if not isinstance(self.dim, int) or not 1 <= self.dim <= sys.maxsize:
+        # a dimension past sys.maxsize cannot index a tuple: refuse it here, not deep in an op;
+        # a bool is an int to isinstance, but `true` is no dimension
+        if type(self.dim) is bool or not isinstance(self.dim, int) or not 1 <= self.dim <= sys.maxsize:
             raise ValueError(f"dimension must be an integer in 1..{sys.maxsize}, got {self.dim!r}")
 
 

@@ -54,6 +54,7 @@ from trunclat import (
     OneOutsideUnitization,
     SparseSeq,
     UnboundVariable,
+    UnitizationCtx,
     UnitizedElement,
     abs_u,
     coeff,
@@ -293,18 +294,18 @@ def ref_rational(rng, *, nonneg: bool = False, nonzero: bool = False) -> Fractio
     return Fraction(num, den)
 
 
-def ref_eval(term, env, ctx):
+def ref_eval(term, env, lat):
     """``trunclat.dsl.evaluate`` as a tree walk that matches every node on every call."""
-    return _ref_eval(term, env, ctx, ctx.lattice)
+    return _ref_eval(term, env, lat, isinstance(lat, UnitizationCtx))
 
 
-def _ref_eval(term, env, ctx, lat):
+def _ref_eval(term, env, lat, unitized):
     match term:
         case Var(name):
             if name not in env:
                 raise UnboundVariable(f"unbound variable {name!r}")
             value = env[name]
-            if not ctx.unitized:
+            if not unitized:
                 if not isinstance(value, Element):
                     raise EvalError(f"variable {name!r} is not a base element")
                 return value
@@ -314,7 +315,7 @@ def _ref_eval(term, env, ctx, lat):
                 return value
             raise EvalError(f"variable {name!r} is not an element")
         case RationalLit(value):
-            if ctx.unitized:
+            if unitized:
                 return lat.scalar(value)
             if value == 0:
                 return lat.zero
@@ -322,27 +323,27 @@ def _ref_eval(term, env, ctx, lat):
                 "a nonzero scalar constant only makes sense in a unitization"
             )
         case One():
-            if ctx.unitized:
+            if unitized:
                 return lat.one
             raise OneOutsideUnitization("the unit symbol requires a unitization context")
         case Add(l, r):
-            return _ref_eval(l, env, ctx, lat) + _ref_eval(r, env, ctx, lat)
+            return _ref_eval(l, env, lat, unitized) + _ref_eval(r, env, lat, unitized)
         case Sub(l, r):
-            return _ref_eval(l, env, ctx, lat) - _ref_eval(r, env, ctx, lat)
+            return _ref_eval(l, env, lat, unitized) - _ref_eval(r, env, lat, unitized)
         case Scale(c, inner):
-            return c * _ref_eval(inner, env, ctx, lat)
+            return c * _ref_eval(inner, env, lat, unitized)
         case Join(l, r):
-            return lat.join(_ref_eval(l, env, ctx, lat), _ref_eval(r, env, ctx, lat))
+            return lat.join(_ref_eval(l, env, lat, unitized), _ref_eval(r, env, lat, unitized))
         case Meet(l, r):
-            return lat.meet(_ref_eval(l, env, ctx, lat), _ref_eval(r, env, ctx, lat))
+            return lat.meet(_ref_eval(l, env, lat, unitized), _ref_eval(r, env, lat, unitized))
         case Abs(inner):
-            return lat.abs(_ref_eval(inner, env, ctx, lat))
+            return lat.abs(_ref_eval(inner, env, lat, unitized))
         case Pos(inner):
-            return lat.pos(_ref_eval(inner, env, ctx, lat))
+            return lat.pos(_ref_eval(inner, env, lat, unitized))
         case Neg(inner):
-            return lat.neg(_ref_eval(inner, env, ctx, lat))
+            return lat.neg(_ref_eval(inner, env, lat, unitized))
         case Trunc(inner):
-            value = _ref_eval(inner, env, ctx, lat)
+            value = _ref_eval(inner, env, lat, unitized)
             if not lat.is_positive(value):
                 raise NegativeTruncArgument("tr(...) needs a positive argument")
             return lat.truncate(value)

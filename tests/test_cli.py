@@ -157,6 +157,34 @@ def test_check_assertions_file_with_header(tmp_path, capsys):
                    "--assertions", str(law)) == 0
 
 
+@pytest.mark.parametrize("unitize", ['"false"', "1", "null"])
+def test_check_assertions_header_unitize_must_be_a_boolean(unitize, tmp_path, capsys):
+    # a truthy non-boolean must not select the unitization, nor a falsy one the base
+    law = tmp_path / "ctx.law"
+    law.write_text(
+        'ctx: {"space": {"space": "sparse_seq"}, "trunc": {"kind": "meet_with_one"}, '
+        f'"unitize": {unitize}}}\n'
+        "x <= x\n"
+    )
+    assert run_cli("check", "--trials", "5", "--assertions", str(law)) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "'unitize'" in err
+
+
+def test_check_assertions_header_unitize_true_selects_the_unitization(tmp_path, capsys):
+    law = tmp_path / "ctx.law"
+    law.write_text(
+        'ctx: {"space": {"space": "sparse_seq"}, "trunc": {"kind": "meet_with_one"}, "unitize": true}\n'
+        "x /\\ 1 <= 1\n"
+    )
+    assert run_cli("check", "--trials", "20", "--assertions", str(law)) == 0
+
+
+def test_check_dimension_true_exits_two(capsys):
+    assert run_cli("check", "--space", '{"space":"finite_pointwise","dim":true}', "--trials", "1") == 2
+    assert _one_error_line(capsys)
+
+
 def _one_error_line(capsys) -> bool:
     err = capsys.readouterr().err
     return len(err.splitlines()) == 1 and err.startswith("error: ")

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from importlib import resources
 
@@ -9,12 +10,12 @@ from oracles import ref_eval
 
 from trunclat import (
     Assertion,
-    EvalContext,
     NegativeTruncArgument,
     OneOutsideUnitization,
     ParseError,
     SampleGen,
     SparseSeq,
+    TruncationSpec,
     UnboundVariable,
     catalog,
     check_assertion,
@@ -29,14 +30,15 @@ from trunclat import (
     random_term,
     render,
     sparse,
+    unitize,
     zero,
 )
 from trunclat.dsl import MAX_DEPTH, RELATIONS, Abs, Add, Join, Meet, Neg, One, Pos, RationalLit, Scale, Sub, Trunc, Var, compile_term
 from trunclat.engine import REGISTRY
 
 CATALOG = catalog()
-SPARSE_CTX = EvalContext(CATALOG["sparse_seq"].space, CATALOG["sparse_seq"].trunc)
-SPARSE_UCTX = EvalContext(CATALOG["sparse_seq"].space, CATALOG["sparse_seq"].trunc, unitized=True)
+SPARSE_CTX = CATALOG["sparse_seq"].trunc
+SPARSE_UCTX = unitize(SPARSE_CTX)
 
 
 # -- parsing -------------------------------------------------------------------
@@ -140,11 +142,6 @@ def test_free_variables():
 
 # -- evaluation ------------------------------------------------------------------
 
-def test_unitized_lattice_is_built_once():
-    ctx = EvalContext(CATALOG["sparse_seq"].space, CATALOG["sparse_seq"].trunc, unitized=True)
-    assert ctx.lattice is ctx.lattice
-
-
 def _names_a_base_element(term) -> bool:
     """No ``1`` and no nonzero scalar literal: the term denotes a base element."""
     match term:
@@ -184,8 +181,8 @@ def test_unitized_evaluation_extends_the_base(name, seed):
     term = _base_term(rng)
     gen = SampleGen(seed, ctx.space)
     env = {v: gen.element() for v in ("x", "y", "z")}
-    base = _value_or_negative_trunc(term, env, EvalContext(ctx.space, ctx.trunc))
-    unitized = _value_or_negative_trunc(term, env, EvalContext(ctx.space, ctx.trunc, unitized=True))
+    base = _value_or_negative_trunc(term, env, ctx.trunc)
+    unitized = _value_or_negative_trunc(term, env, ctx.uctx)
     if base is NegativeTruncArgument:
         assert unitized is NegativeTruncArgument, render(term)
     else:
@@ -271,10 +268,9 @@ def _mixed_env(rng: random.Random, gen: SampleGen) -> dict:
     return env
 
 
-def _ref_check(assertion, env, ctx):
-    lhs = ref_eval(assertion.lhs, env, ctx)
-    rhs = ref_eval(assertion.rhs, env, ctx)
-    lat = ctx.lattice
+def _ref_check(assertion, env, lat):
+    lhs = ref_eval(assertion.lhs, env, lat)
+    rhs = ref_eval(assertion.rhs, env, lat)
     holds = {
         "<=": lambda: lat.leq(lhs, rhs),
         ">=": lambda: lat.leq(rhs, lhs),
@@ -284,8 +280,8 @@ def _ref_check(assertion, env, ctx):
     return holds, lhs, rhs
 
 
-def _compiled_check(assertion, env, ctx):
-    outcome = check_assertion(assertion, env, ctx)
+def _compiled_check(assertion, env, lat):
+    outcome = check_assertion(assertion, env, lat)
     return outcome.holds, outcome.lhs_value, outcome.rhs_value
 
 
@@ -294,7 +290,7 @@ def _compiled_check(assertion, env, ctx):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(seed=st.integers(min_value=0, max_value=2**32))
 def test_compiled_evaluator_matches_the_tree_walker(name, unitized, seed):
-    ctx = EvalContext(CATALOG[name].space, CATALOG[name].trunc, unitized)
+    ctx = CATALOG[name].uctx if unitized else CATALOG[name].trunc
     rng = random.Random(seed)
     gen = SampleGen(seed, ctx.space)
     for _ in range(4):
@@ -320,8 +316,28 @@ def test_compiled_term_is_reusable_across_environments():
         unit({})
 
 
+@pytest.mark.parametrize("module", ["trunclat.truncation", "trunclat.unitization"])
+def test_tr_tests_the_cone_once(module, monkeypatch):
+    # the package attribute trunclat.truncation is the constructor, so read the module
+    owner = sys.modules[module]
+    calls = []
+    original = owner.is_positive
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, "is_positive", counting)
+    lat = SPARSE_UCTX if module == "trunclat.unitization" else SPARSE_CTX
+    tr = compile_term(parse("tr(x)"), lat)
+    tr({"x": sparse({1: 2})})
+    assert len(calls) == 1
+    with pytest.raises(NegativeTruncArgument, match=r"^tr\(\.\.\.\) needs a positive argument$"):
+        tr({"x": sparse({1: -2})})
+
+
 def test_check_assertion_recompiles_for_another_assertion_or_context():
-    unitized_ctx = EvalContext(SPARSE_CTX.space, SPARSE_CTX.trunc, True)
+    unitized_ctx = unitize(SPARSE_CTX)
     env = {"x": sparse({1: 1})}
     unit = parse_assertion("x <= 1")
     holds, fails = parse_assertion("x <= x"), parse_assertion("x <= 0 - x")
@@ -351,7 +367,7 @@ LAW_FILES = (
 @pytest.mark.parametrize("name", LAW_FILES)
 def test_shipped_law_files_hold_on_samples(name):
     loaded = _load_law_file(name)
-    assert loaded.ctx is not None and not loaded.ctx.unitized
+    assert isinstance(loaded.ctx, TruncationSpec)
     assert len(loaded.assertions) == 12
     gen = SampleGen(11, loaded.ctx.space)
     for lineno, assertion in loaded.assertions:
@@ -389,12 +405,11 @@ def test_dsl_equivalents_agree_with_native_checks():
     laws_with_dsl = [law for law in REGISTRY if law.dsl]
     assert {law.law_id for law in laws_with_dsl} == {"tau1", "prop21", "prop22"}
     for ctx_name, ctx in CATALOG.items():
-        eval_ctx = EvalContext(ctx.space, ctx.trunc)
         for law in laws_with_dsl:
             assertions = [parse_assertion(src) for src in law.dsl]
             for seed in range(100):
                 gen = SampleGen(seed, ctx.space)
-                raw_pairs = [gen.pair() for _ in range(5)]
+                raw_pairs = [(gen.element(), gen.element()) for _ in range(5)]
                 native = _native_check(
                     law.law_id, ctx.trunc, [(abs(a), abs(b)) for a, b in raw_pairs]
                 )
@@ -402,7 +417,7 @@ def test_dsl_equivalents_agree_with_native_checks():
                     check_assertion(
                         assertion,
                         {"a": a, "b": b, "x": a, "y": b},
-                        eval_ctx,
+                        ctx.trunc,
                     ).holds
                     for assertion in assertions
                     for a, b in raw_pairs

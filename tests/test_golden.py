@@ -2,7 +2,8 @@
 
 The repro hashes are read from README's table, so README stays the single
 source of truth; the catalog hashes pin ``check --format json --seed 42
---trials 200`` for each cataloged configuration.
+--trials 200`` for each cataloged configuration, and the assertion hashes pin
+the same run with the configuration's shipped ``.law`` file.
 """
 
 import hashlib
@@ -30,6 +31,15 @@ CHECK_HASHES = {
     "lex_plane": "690a3e74b884c8cc",
     "identity_line": "41f8021ada537cd3",
     "finite_pointwise:3": "488b06470681ef6f",
+}
+
+
+# check ... --assertions src/trunclat/laws/<config>.law: the suite plus the DSL path
+ASSERTION_HASHES = {
+    "sparse_seq": "c35ca290f7f2b968",
+    "lex_plane": "529b91fb19963162",
+    "identity_line": "048054ac12a3e999",
+    "finite_pointwise:3": "ce10698cc1daf061",
 }
 
 
@@ -69,3 +79,11 @@ def test_check_json_report_hash(run, capsys):
     argv = ["check", *config, "--format", "json", "--seed", "42", "--trials", "200"]
     assert main(argv) == 0
     assert _sha16(capsys.readouterr().out) == pin
+
+
+@pytest.mark.parametrize("space", sorted(ASSERTION_HASHES))
+def test_check_assertions_json_report_hash(space, capsys):
+    law = os.path.join(REPO, "src", "trunclat", "laws", space.partition(":")[0] + ".law")
+    argv = ["check", "--space", space, "--format", "json", "--seed", "42", "--trials", "200", "--assertions", law]
+    assert main(argv) == 0
+    assert _sha16(capsys.readouterr().out) == ASSERTION_HASHES[space]

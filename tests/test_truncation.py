@@ -46,7 +46,7 @@ CATALOG = catalog()
 
 
 def _pairs(gen, n):
-    return [gen.positive_pair() for _ in range(n)]
+    return [(gen.positive(), gen.positive()) for _ in range(n)]
 
 
 # -- truncate / fixed set ----------------------------------------------------
