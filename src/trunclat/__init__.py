@@ -76,13 +76,12 @@ from .truncation import (
 )
 from .report import LawReport, render_table, reports_to_jsonl
 from .unitization import (
-    NonUnitalZero,
-    UnitalSpan,
     UnitizationCtx,
     UnitizedElement,
     abs_u,
     check_ideal,
     check_thm11_fixedset,
+    check_thm11_orthocomplement,
     in_fixed_u,
     is_positive,
     join_u,
@@ -90,7 +89,6 @@ from .unitization import (
     lt_u,
     meet_u,
     neg_u,
-    orthogonal_complement_witness,
     pos_u,
     truncate_u,
     unitize,
@@ -101,7 +99,7 @@ from .sampling import SampleGen
 from .engine import (
     Band,
     CertifiedSeq,
-    LawContext,
+    LawContext,  # an alias of UnitizationCtx, kept for perfbench/workloads.py
     UnitizedBand,
     archimedean_check,
     band,

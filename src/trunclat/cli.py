@@ -26,7 +26,6 @@ from .dsl import (
     parse,
 )
 from .engine import (
-    LawContext,
     archimedean_check,
     catalog,
     cataloged_truncation,
@@ -151,7 +150,7 @@ def cmd_check(args) -> int:
     reports = run_suite(space, trunc, args.seed, args.trials)
     if args.assertions:
         reports = reports + _run_assertion_file(args.assertions, trunc, args.seed, args.trials)
-    expected = expected_violations(LawContext(space, trunc))
+    expected = expected_violations(unitize(trunc))
     if args.format == "json":
         output = reports_to_jsonl(reports)
     else:
@@ -201,7 +200,7 @@ def cmd_eval(args) -> int:
 # Scripted reproductions
 # ---------------------------------------------------------------------------
 
-def _run_tau1_tau2(out, ctx: LawContext, seed: int, where: str) -> bool:
+def _run_tau1_tau2(out, ctx: UnitizationCtx, seed: int, where: str) -> bool:
     """Run the registered tau1 and tau2 laws for 1000 trials each and print their verdicts."""
     ok = True
     for law_id in ("tau1", "tau2"):
@@ -270,7 +269,7 @@ def _repro_c00_ruc(out) -> bool:
 
 
 def _repro_unitization_not_ruc(out) -> bool:
-    ctx = unitize(catalog()["sparse_seq"].trunc)
+    ctx = catalog()["sparse_seq"]
     report = repro_example43(
         ctx,
         [Fraction(1, 10), Fraction(1, 100)],
@@ -283,7 +282,7 @@ def _repro_unitization_not_ruc(out) -> bool:
 
 
 def _repro_thm33_sup(out) -> bool:
-    ctx = unitize(catalog()["sparse_seq"].trunc)
+    ctx = catalog()["sparse_seq"]
     seed = 1005
     ok = True
 

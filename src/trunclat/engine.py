@@ -7,6 +7,12 @@ and supremum transfer, and the band machinery for finite pointwise spaces.
 Every verdict is exact: quantified claims whose witness search is exhausted
 come back inconclusive, never as an overclaimed pass.
 
+Every law, decider and repro runs in a
+:class:`~trunclat.unitization.UnitizationCtx`.  Its ``.trunc`` is the
+truncated base lattice and the context itself is that lattice's
+unitization, so one object carries both sides of the transfer.
+``LawContext`` is an alias for it.
+
 Seeds derive per law from the run seed, so report lists are reproducible
 byte-for-byte under a fixed configuration.
 """
@@ -17,7 +23,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import EmptySet, InvalidCertificate, NegativeInput, PreconditionViolated, SpaceMismatch
@@ -71,11 +77,11 @@ from .unitization import (
     abs_u,
     check_ideal,
     check_thm11_fixedset,
+    check_thm11_orthocomplement,
     join_u,
     leq_u,
     lt_u,
     meet_u,
-    orthogonal_complement_witness,
     truncate_u,
     unitized_to_json,
 )
@@ -88,14 +94,9 @@ def derive_seed(seed: int, law_id: str) -> int:
     return int.from_bytes(digest, "big") & _MASK64
 
 
-@dataclass(frozen=True)
-class LawContext:
-    space: Space
-    trunc: TruncationSpec
-
-    @cached_property
-    def uctx(self) -> UnitizationCtx:
-        return UnitizationCtx(self.space, self.trunc)
+# The benchmark's perfbench/workloads.py builds LawContext(space, trunc), and
+# that file changes only together with the benchmark, so the old name stays.
+LawContext = UnitizationCtx
 
 
 def cataloged_truncation(space: Space) -> TruncationSpec:
@@ -114,7 +115,7 @@ def cataloged_truncation(space: Space) -> TruncationSpec:
     return truncation(space, kind)
 
 
-def catalog(fp_dim: int = 3) -> dict[str, LawContext]:
+def catalog(fp_dim: int = 3) -> dict[str, UnitizationCtx]:
     """The four cataloged (space, truncation) pairs."""
     spaces = {
         "sparse_seq": SparseSeq(),
@@ -122,10 +123,10 @@ def catalog(fp_dim: int = 3) -> dict[str, LawContext]:
         "identity_line": IdentityLine(),
         "finite_pointwise": FinitePointwise(fp_dim),
     }
-    return {name: LawContext(space, cataloged_truncation(space)) for name, space in spaces.items()}
+    return {name: UnitizationCtx(space, cataloged_truncation(space)) for name, space in spaces.items()}
 
 
-def expected_violations(ctx: LawContext) -> frozenset[str]:
+def expected_violations(ctx: UnitizationCtx) -> frozenset[str]:
     """The properties this configuration lacks by a symbolic decision.
 
     ``tau3`` and the two Archimedean laws state properties a valid truncation
@@ -170,14 +171,13 @@ def multiples_below(lat, x, y, bound: int = 64) -> bool:
     return True
 
 
-def unitization_archimedean(ctx: LawContext) -> Decision:
+def unitization_archimedean(ctx: UnitizationCtx) -> Decision:
     """Symbolic decision for the unitization's Archimedean property, where known.
 
     Decided directly from the order structure (pointwise or lexicographic
     closed forms), independently of the equivalence it is later checked
     against.  Undecided (``holds`` None) when no closed form applies.
     """
-    uctx = ctx.uctx
     match ctx.trunc.kind:
         case MeetWithOne():
             return Decision(True, "pointwise order over the indices plus a point at infinity")
@@ -185,14 +185,14 @@ def unitization_archimedean(ctx: LawContext) -> Decision:
             return Decision(
                 False,
                 "every positive multiple of the axis stays below the unit",
-                (uctx.embed(line(1)), uctx.one),
+                (ctx.embed(line(1)), ctx.one),
             )
         case MeetWithUnit(unit=u):
             if isinstance(ctx.space, LexPlane):
                 return Decision(
                     False,
                     "the base is already non-Archimedean",
-                    (uctx.embed(lexpair(0, 1)), uctx.embed(lexpair(1, 0))),
+                    (ctx.embed(lexpair(0, 1)), ctx.embed(lexpair(1, 0))),
                 )
             if isinstance(ctx.space, FinitePointwise) and all(v > 0 for v in u.payload):
                 return Decision(True, "weighted pointwise order on finitely many points plus infinity")
@@ -612,7 +612,7 @@ def _mask(space: FinitePointwise, coords: frozenset[int], x: Element) -> Element
 def band_component(space: FinitePointwise, b: Band, x: Element) -> Element:
     """The component of ``x >= 0`` in the band: the supremum of ``B+ ∩ [0, x]``."""
     if x.space != space:
-        raise PreconditionViolated("element does not live on the given space")
+        raise SpaceMismatch(f"{space!r} vs {x.space!r}")
     if not is_positive(x):
         raise NegativeInput("band components are defined for positive elements")
     return _mask(space, b.coords, x)
@@ -694,13 +694,13 @@ def band_projection_holds(ctx: UnitizationCtx, b: UnitizedBand, x: UnitizedEleme
 @dataclass(frozen=True)
 class Law:
     law_id: str
-    run: Callable[[LawContext, SampleGen, int], LawReport]
-    applies: Callable[[LawContext], bool] = lambda ctx: True
+    run: Callable[[UnitizationCtx, SampleGen, int], LawReport]
+    applies: Callable[[UnitizationCtx], bool] = lambda ctx: True
     divisor: int = 1
     dsl: tuple[str, ...] = ()
 
 
-def _law_tau3(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
+def _law_tau3(ctx: UnitizationCtx, gen: SampleGen, n: int) -> LawReport:
     samples = [gen.positive() for _ in range(min(n, 50))]
     decision = check_tau3(ctx.trunc, samples, bound=100)
     return decision_report("tau3", ctx.trunc, decision, multiples_fixed, gen.seed, "multiples verified")
@@ -731,22 +731,21 @@ def decision_report(
     return LawReport.refuted(law_id, bound, seed, witness, detail=detail)
 
 
-def _law_lemma23_self(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
-    report = compare_fixed_sets(ctx.trunc, ctx.trunc, [gen.element() for _ in range(n)], gen.seed)
-    return replace(report, law_id="lemma23.self")
+def _law_lemma23_self(ctx: UnitizationCtx, gen: SampleGen, n: int) -> LawReport:
+    return compare_fixed_sets(ctx.trunc, ctx.trunc, [gen.element() for _ in range(n)], gen.seed)
 
 
-def _law_arch_space(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
+def _law_arch_space(ctx: UnitizationCtx, gen: SampleGen, n: int) -> LawReport:
     decision = archimedean_check(ctx.space)
     return decision_report("archimedean.space", ctx.trunc, decision, multiples_below, gen.seed)
 
 
-def _law_arch_unitization(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
+def _law_arch_unitization(ctx: UnitizationCtx, gen: SampleGen, n: int) -> LawReport:
     decision = unitization_archimedean(ctx)
-    return decision_report("archimedean.unitization", ctx.uctx, decision, multiples_below, gen.seed)
+    return decision_report("archimedean.unitization", ctx, decision, multiples_below, gen.seed)
 
 
-def _law_thm31(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
+def _law_thm31(ctx: UnitizationCtx, gen: SampleGen, n: int) -> LawReport:
     space_decision = archimedean_check(ctx.space)
     tau3 = check_tau3(ctx.trunc, [gen.positive() for _ in range(8)], bound=100)
     u_decision = unitization_archimedean(ctx)
@@ -774,7 +773,7 @@ def _law_thm31(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
     )
 
 
-def _law_chain_decompose(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
+def _law_chain_decompose(ctx: UnitizationCtx, gen: SampleGen, n: int) -> LawReport:
     for _ in range(n):
         u = gen.element()
         v = gen.element()
@@ -801,7 +800,7 @@ def _law_chain_decompose(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
     return LawReport.passed("chain.decompose", n, gen.seed)
 
 
-def _law_chain_sup(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
+def _law_chain_sup(ctx: UnitizationCtx, gen: SampleGen, n: int) -> LawReport:
     for _ in range(n):
         length = gen.randint(1, 5)
         xs = [gen.element()]
@@ -815,112 +814,85 @@ def _law_chain_sup(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
     return LawReport.passed("chain.sup_additivity", n, gen.seed)
 
 
-def _law_lemma54(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
-    uctx = ctx.uctx
+def _law_lemma54(ctx: UnitizationCtx, gen: SampleGen, n: int) -> LawReport:
     for _ in range(n):
         items = [gen.element() for _ in range(gen.randint(1, 4))]
         a0 = sup_finite(items)
-        bounds = [uctx.embed(a0)]
-        bounds.append(uctx.embed(a0) + gen.positive_unitized(uctx))
-        bounds.append(uctx.embed(a0) + gen.positive_unitized(uctx))
+        bounds = [ctx.embed(a0)]
+        bounds.append(ctx.embed(a0) + gen.positive_unitized(ctx))
+        bounds.append(ctx.embed(a0) + gen.positive_unitized(ctx))
         bounds.append(gen.unitized())
-        report = check_lemma54(uctx, items, bounds, gen.seed)
+        report = check_lemma54(ctx, items, bounds, gen.seed)
         if not report.ok:
             return replace(report, trials=n)
     return LawReport.passed("lemma54.transfer", n, gen.seed)
 
 
-def _law_thm33(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
-    uctx = ctx.uctx
+def _law_thm33(ctx: UnitizationCtx, gen: SampleGen, n: int) -> LawReport:
     for i in range(n):
         if i == 0:
-            x = uctx.one
+            x = ctx.one
         else:
-            x = gen.positive_unitized(uctx)
-            if x == uctx.zero:
-                x = uctx.one
-        ys = [meet_u(uctx, uctx.embed(gen.positive()), x).e for _ in range(3)]
-        xbar = truncate_u(uctx, x)
+            x = gen.positive_unitized(ctx)
+            if x == ctx.zero:
+                x = ctx.one
+        ys = [meet_u(ctx, ctx.embed(gen.positive()), x).e for _ in range(3)]
+        xbar = truncate_u(ctx, x)
         zs = []
         for _ in range(3):
-            z = meet_u(uctx, gen.unitized(), xbar)
+            z = meet_u(ctx, gen.unitized(), xbar)
             if z != xbar:
                 zs.append(z)
-        report = check_thm33_sup(uctx, x, ys, zs, gen.seed)
+        report = check_thm33_sup(ctx, x, ys, zs, gen.seed)
         if report.verdict != "pass":
             return replace(report, trials=n)
     return LawReport.passed("thm33.sup", n, gen.seed)
 
 
-def _law_remark34(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
-    uctx = ctx.uctx
+def _law_remark34(ctx: UnitizationCtx, gen: SampleGen, n: int) -> LawReport:
     u = ctx.trunc.unit
     for _ in range(n):
         x1 = gen.positive()
         mu = gen.rational(nonneg=True)
         x = UnitizedElement(x1 - scale(mu, u), mu)
-        ys = [meet_u(uctx, uctx.embed(gen.positive()), x).e for _ in range(3)]
-        report = check_remark34(uctx, x1, mu, ys, gen.seed)
+        ys = [meet_u(ctx, ctx.embed(gen.positive()), x).e for _ in range(3)]
+        report = check_remark34(ctx, x1, mu, ys, gen.seed)
         if not report.ok:
             return replace(report, trials=n)
     return LawReport.passed("remark34.sup", n, gen.seed)
 
 
-def _law_thm11_fixedset(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
-    return check_thm11_fixedset(ctx.uctx, [gen.element() for _ in range(n)], gen.seed)
+def _law_thm11_fixedset(ctx: UnitizationCtx, gen: SampleGen, n: int) -> LawReport:
+    return check_thm11_fixedset(ctx, [gen.element() for _ in range(n)], gen.seed)
 
 
-def _law_thm11_ideal(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
-    uctx = ctx.uctx
+def _law_thm11_ideal(ctx: UnitizationCtx, gen: SampleGen, n: int) -> LawReport:
     pairs = []
     for i in range(n):
         a = gen.element()
         if i % 2 == 0:
             clamped = join(meet(gen.element(), abs(a)), -abs(a))
-            pairs.append((a, uctx.embed(clamped)))
+            pairs.append((a, ctx.embed(clamped)))
         else:
             pairs.append((a, gen.unitized()))
-    return check_ideal(uctx, pairs, gen.seed)
+    return check_ideal(ctx, pairs, gen.seed)
 
 
-def _law_thm11_ortho(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
-    uctx = ctx.uctx
+def _law_thm11_ortho(ctx: UnitizationCtx, gen: SampleGen, n: int) -> LawReport:
     e_samples = [gen.positive() for _ in range(max(4, n))]
-    if ctx.trunc.unital:
-        result = orthogonal_complement_witness(uctx, e_samples)
-        if result.failure is not None:
-            return LawReport.refuted(
-                "thm11.orthocomplement", result.verified_pairs, gen.seed, result.failure
-            )
-        return LawReport.passed(
-            "thm11.orthocomplement",
-            result.verified_pairs,
-            gen.seed,
-            detail=f"span of 1-u, w={unitized_to_json(result.w)}",
-        )
-    candidates = [uctx.scalar(1)] + [gen.unitized() for _ in range(max(4, n))]
-    result = orthogonal_complement_witness(uctx, e_samples, candidates=candidates)
-    if result.unresolved:
-        return LawReport.inconclusive(
-            "thm11.orthocomplement",
-            result.separated,
-            gen.seed,
-            bound=len(candidates),
-            detail=f"unresolved={len(result.unresolved)}",
-        )
-    return LawReport.passed(
-        "thm11.orthocomplement", result.separated, gen.seed, detail=f"separated={result.separated}"
-    )
+    candidates = []
+    if not ctx.trunc.unital:
+        candidates = [ctx.scalar(1)] + [gen.unitized() for _ in range(max(4, n))]
+    return check_thm11_orthocomplement(ctx, e_samples, candidates, gen.seed)
 
 
-def _law_thm11_density(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
-    uctx = ctx.uctx
+def _law_thm11_density(ctx: UnitizationCtx, gen: SampleGen, n: int) -> LawReport:
     z = zero(ctx.space)
     found = 0
     for _ in range(n):
-        a = gen.positive_unitized(uctx)
-        if a == uctx.zero:
-            a = uctx.one
+        a = gen.positive_unitized(ctx)
+        if a == ctx.zero:
+            a = ctx.one
         candidates = []
         if a.lam == 0:
             candidates.append(a.e)
@@ -932,7 +904,7 @@ def _law_thm11_density(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
         candidates.extend(meet(gen.positive(), abs(a.e)) for _ in range(2))
         witness = None
         for x in candidates:
-            if x != z and is_positive(x) and leq_u(uctx, uctx.embed(x), a):
+            if x != z and is_positive(x) and leq_u(ctx, ctx.embed(x), a):
                 witness = x
                 break
         if witness is None:
@@ -947,55 +919,51 @@ def _law_thm11_density(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
     return LawReport.passed("thm11.density", found, gen.seed, detail="sampled witnesses only")
 
 
-def _law_thm62(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
-    uctx = ctx.uctx
+def _law_thm62(ctx: UnitizationCtx, gen: SampleGen, n: int) -> LawReport:
     for _ in range(n):
-        a = gen.positive_unitized_scalar(uctx)
-        b = gen.positive_unitized_scalar(uctx)
-        m = meet_u(uctx, a, b)
-        if m == uctx.zero or m.lam != min(a.lam, b.lam):
+        a = gen.positive_unitized_scalar(ctx)
+        b = gen.positive_unitized_scalar(ctx)
+        m = meet_u(ctx, a, b)
+        if m == ctx.zero or m.lam != min(a.lam, b.lam):
             witness = {"a": unitized_to_json(a), "b": unitized_to_json(b)}
             return LawReport.refuted("thm62.disjoint_scalars", n, gen.seed, witness)
     return LawReport.passed("thm62.disjoint_scalars", n, gen.seed)
 
 
-def _law_cone_sanity(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
-    uctx = ctx.uctx
+def _law_cone_sanity(ctx: UnitizationCtx, gen: SampleGen, n: int) -> LawReport:
     for i in range(n):
-        a = uctx.zero if i == 0 else gen.unitized()
-        if uctx.is_positive(a) and uctx.is_positive(-a) and a != uctx.zero:
+        a = ctx.zero if i == 0 else gen.unitized()
+        if ctx.is_positive(a) and ctx.is_positive(-a) and a != ctx.zero:
             return LawReport.refuted(
                 "unitization.cone_sanity", n, gen.seed, {"a": unitized_to_json(a)}
             )
     return LawReport.passed("unitization.cone_sanity", n, gen.seed)
 
 
-def _law_abs_lub(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
-    uctx = ctx.uctx
+def _law_abs_lub(ctx: UnitizationCtx, gen: SampleGen, n: int) -> LawReport:
     for _ in range(n):
         a = gen.unitized()
-        b = abs_u(uctx, a)
-        if not (uctx.is_positive(b) and leq_u(uctx, a, b) and leq_u(uctx, -a, b)):
+        b = abs_u(ctx, a)
+        if not (ctx.is_positive(b) and leq_u(ctx, a, b) and leq_u(ctx, -a, b)):
             return LawReport.refuted(
                 "unitization.abs_lub", n, gen.seed, {"a": unitized_to_json(a)}
             )
-        bounds = [b + gen.positive_unitized(uctx)]
+        bounds = [b + gen.positive_unitized(ctx)]
         candidate = gen.unitized()
-        if leq_u(uctx, a, candidate) and leq_u(uctx, -a, candidate):
+        if leq_u(ctx, a, candidate) and leq_u(ctx, -a, candidate):
             bounds.append(candidate)
         for upper in bounds:
-            if not leq_u(uctx, b, upper):
+            if not leq_u(ctx, b, upper):
                 witness = {"a": unitized_to_json(a), "z": unitized_to_json(upper)}
                 return LawReport.refuted("unitization.abs_lub", n, gen.seed, witness)
     return LawReport.passed("unitization.abs_lub", n, gen.seed)
 
 
-def _law_triangle(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
-    uctx = ctx.uctx
+def _law_triangle(ctx: UnitizationCtx, gen: SampleGen, n: int) -> LawReport:
     for _ in range(n):
         a = gen.unitized()
         b = gen.unitized()
-        if not leq_u(uctx, abs_u(uctx, a + b), abs_u(uctx, a) + abs_u(uctx, b)):
+        if not leq_u(ctx, abs_u(ctx, a + b), abs_u(ctx, a) + abs_u(ctx, b)):
             witness = {"a": unitized_to_json(a), "b": unitized_to_json(b)}
             return LawReport.refuted("unitization.triangle", n, gen.seed, witness)
     return LawReport.passed("unitization.triangle", n, gen.seed)
@@ -1006,8 +974,8 @@ def _on_positives(check: Callable, unitized: bool = False, pairs: bool = True):
     or of the unitization if ``unitized``; each trial draws one positive
     element, or a pair of them drawn first then second."""
 
-    def run(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
-        lat = ctx.uctx if unitized else ctx.trunc
+    def run(ctx: UnitizationCtx, gen: SampleGen, n: int) -> LawReport:
+        lat = ctx if unitized else ctx.trunc
         draw = partial(gen.positive_unitized, lat) if unitized else gen.positive
         samples = [(draw(), draw()) if pairs else draw() for _ in range(n)]
         return check(lat, samples, gen.seed)
@@ -1015,11 +983,10 @@ def _on_positives(check: Callable, unitized: bool = False, pairs: bool = True):
     return run
 
 
-def _law_unitized_prop22(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
+def _law_unitized_prop22(ctx: UnitizationCtx, gen: SampleGen, n: int) -> LawReport:
     # the base row's pass detail is pinned, and this row has none: only the per-pair check is shared
-    uctx = ctx.uctx
     for _ in range(n):
-        failure = prop22_failure(uctx, gen.positive_unitized(uctx), gen.positive_unitized(uctx))
+        failure = prop22_failure(ctx, gen.positive_unitized(ctx), gen.positive_unitized(ctx))
         if failure is not None:
             item, data = failure
             return LawReport.refuted(
@@ -1028,7 +995,7 @@ def _law_unitized_prop22(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
     return LawReport.passed("unitization.prop22", n, gen.seed)
 
 
-def _law_band_component(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
+def _law_band_component(ctx: UnitizationCtx, gen: SampleGen, n: int) -> LawReport:
     space = ctx.space
     for _ in range(n):
         b = band(space, gen.index_subset(space.dim))
@@ -1041,15 +1008,14 @@ def _law_band_component(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
     return LawReport.passed("band.component", n, gen.seed)
 
 
-def _law_band_project(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
-    uctx = ctx.uctx
+def _law_band_project(ctx: UnitizationCtx, gen: SampleGen, n: int) -> LawReport:
     space = ctx.space
     for _ in range(n):
         coords = gen.index_subset(space.dim)
         include = bool(gen.randint(0, 1))
         b = UnitizedBand(band(space, coords), include)
         x = gen.unitized()
-        if not band_projection_holds(uctx, b, x):
+        if not band_projection_holds(ctx, b, x):
             witness = {
                 "coords": sorted(b.base.coords),
                 "include_complement": include,
@@ -1059,11 +1025,11 @@ def _law_band_project(ctx: LawContext, gen: SampleGen, n: int) -> LawReport:
     return LawReport.passed("band.project", n, gen.seed)
 
 
-def _is_fp(ctx: LawContext) -> bool:
+def _is_fp(ctx: UnitizationCtx) -> bool:
     return isinstance(ctx.space, FinitePointwise)
 
 
-def _thm33_applies(ctx: LawContext) -> bool:
+def _thm33_applies(ctx: UnitizationCtx) -> bool:
     return not ctx.trunc.unital and unitization_archimedean(ctx).holds is True
 
 
@@ -1116,18 +1082,18 @@ def run_suite(
     """Run every applicable registered law; reports come back sorted by law id."""
     if trials < 1:
         raise PreconditionViolated("trials must be >= 1")
-    ctx = LawContext(space, trunc)
+    ctx = UnitizationCtx(space, trunc)
     reports = [_run_law(ctx, law, seed, trials) for law in REGISTRY if law.applies(ctx)]
     return sorted(reports, key=lambda r: r.law_id)
 
 
-def run_law(ctx: LawContext, law_id: str, seed: int, trials: int) -> LawReport:
+def run_law(ctx: UnitizationCtx, law_id: str, seed: int, trials: int) -> LawReport:
     """One registered law, with the sample stream and trial count ``run_suite`` gives it."""
     law = next(law for law in REGISTRY if law.law_id == law_id)
     return _run_law(ctx, law, seed, trials)
 
 
-def _run_law(ctx: LawContext, law: Law, seed: int, trials: int) -> LawReport:
+def _run_law(ctx: UnitizationCtx, law: Law, seed: int, trials: int) -> LawReport:
     gen = SampleGen(derive_seed(seed, law.law_id), ctx.space)
     report = law.run(ctx, gen, max(1, trials // law.divisor))
     if report.law_id != law.law_id:

@@ -27,7 +27,9 @@ exactly when ``|a| <= 1``.
 ``meet``, ``abs``, ``pos``, ``neg``, ``is_positive``, ``truncate``,
 ``in_fixed`` and ``to_json``), each a call to the ``_u`` function below, so the
 axiom checks, the DSL evaluator and the repros run on the unitization
-unchanged.
+unchanged.  It is also the context every registered law runs in: its
+``.trunc`` is the base lattice, and it is the unitization itself, so one
+object reaches both sides of the transfer (``engine.LawContext`` is an alias).
 """
 
 from __future__ import annotations
@@ -260,27 +262,6 @@ def check_ideal(
     return LawReport.passed("thm11.ideal", len(pairs), seed, detail=detail)
 
 
-@dataclass(frozen=True)
-class UnitalSpan:
-    """The orthogonal complement is spanned by ``1 - u``; carries the verified witness."""
-
-    w: UnitizedElement
-    verified_pairs: int
-    failure: object = None
-
-
-@dataclass(frozen=True)
-class NonUnitalZero:
-    """Every nonzero candidate met some base element; carries a sample table."""
-
-    separated: int
-    table: tuple
-    unresolved: tuple = ()
-
-
-OrthoResult = UnitalSpan | NonUnitalZero
-
-
 def _separator_candidates(ctx, z: UnitizedElement, e_samples):
     """Base elements likely to meet ``|z|`` nontrivially, tried in order."""
     if z.e != zero(ctx.space):
@@ -296,53 +277,54 @@ def _separator_candidates(ctx, z: UnitizedElement, e_samples):
             yield a
 
 
-def orthogonal_complement_witness(
+_ORTHO_SCALARS = (Fraction(1), Fraction(-2), Fraction(1, 3))
+
+
+def check_thm11_orthocomplement(
     ctx: UnitizationCtx,
     e_samples: Sequence[Element],
-    scalars: Sequence[Rational] = (Fraction(1), Fraction(-2), Fraction(1, 3)),
     candidates: Sequence[UnitizedElement] = (),
-) -> OrthoResult:
-    """Describe the base space's disjoint complement inside the unitization.
+    seed: int = 0,
+) -> LawReport:
+    """The base space's disjoint complement inside the unitization.
 
-    Unital base: returns ``w = 1 - u`` and verifies ``|c*w| ^ |x| = 0`` for
-    every sampled base element ``x`` and scalar ``c``.  Non-unital base: for
-    each nonzero candidate, searches for a base element whose absolute value
-    meets the candidate's nontrivially; candidates with no separator found are
-    reported as unresolved rather than declared orthogonal.
+    Unital base: the complement is spanned by ``w = 1 - u``; verifies
+    ``|c*w| ^ |x| = 0`` for every sampled base element ``x`` and a few scalars
+    ``c``, and counts the verified pairs as trials.  Non-unital base: the
+    complement is zero; for each nonzero candidate, searches for a base
+    element whose absolute value meets the candidate's nontrivially.  A
+    candidate with no separator found leaves the verdict inconclusive rather
+    than declared orthogonal.
     """
+    law_id = "thm11.orthocomplement"
     zero_u = ctx.zero
     if ctx.trunc.unital:
-        u = ctx.trunc.unit
-        w = UnitizedElement(-u, Fraction(1))
+        w = UnitizedElement(-ctx.trunc.unit, Fraction(1))
         checked = 0
         for x in e_samples:
             target = ctx.embed(abs(x))
-            for c in scalars:
+            for c in _ORTHO_SCALARS:
                 if meet_u(ctx, abs_u(ctx, c * w), target) != zero_u:
-                    failure = {
-                        "x": element_to_json(x),
-                        "c": format_rational(Fraction(c)),
-                    }
-                    return UnitalSpan(w, checked, failure)
+                    witness = {"x": element_to_json(x), "c": format_rational(c)}
+                    return LawReport.refuted(law_id, checked, seed, witness)
                 checked += 1
-        return UnitalSpan(w, checked)
+        return LawReport.passed(law_id, checked, seed, detail=f"span of 1-u, w={unitized_to_json(w)}")
 
-    table = []
-    unresolved = []
+    separated = unresolved = 0
     for z in candidates:
         if z == zero_u:
             continue
         az = abs_u(ctx, z)
-        separator = None
-        for x in _separator_candidates(ctx, z, e_samples):
-            if meet_u(ctx, az, ctx.embed(x)) != zero_u:
-                separator = x
-                break
-        if separator is None:
-            unresolved.append(unitized_to_json(z))
+        separators = _separator_candidates(ctx, z, e_samples)
+        if any(meet_u(ctx, az, ctx.embed(x)) != zero_u for x in separators):
+            separated += 1
         else:
-            table.append((unitized_to_json(z), element_to_json(separator)))
-    return NonUnitalZero(len(table), tuple(table), tuple(unresolved))
+            unresolved += 1
+    if unresolved:
+        return LawReport.inconclusive(
+            law_id, separated, seed, bound=len(candidates), detail=f"unresolved={unresolved}"
+        )
+    return LawReport.passed(law_id, separated, seed, detail=f"separated={separated}")
 
 
 # ---------------------------------------------------------------------------

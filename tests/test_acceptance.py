@@ -34,6 +34,7 @@ from trunclat import (
     check_tau2,
     check_tau3,
     check_thm11_fixedset,
+    check_thm11_orthocomplement,
     decompose_chain,
     default_limit_candidates,
     fp_const,
@@ -46,7 +47,6 @@ from trunclat import (
     lexpair,
     meet,
     meet_u,
-    orthogonal_complement_witness,
     parse,
     parse_assertion,
     project_band_unitized,
@@ -58,10 +58,10 @@ from trunclat import (
     sup_finite,
     truncate,
     unitize,
+    unitized_to_json,
     zero,
 )
 from trunclat.engine import REGISTRY
-from trunclat.unitization import NonUnitalZero, UnitalSpan
 from trunclat.spaces import FinitePointwise
 
 from oracles import band_component_oracle, o_abs, o_join, o_leq, o_meet, o_positive
@@ -171,19 +171,14 @@ def test_criterion_4_unit_characterizations():
         fp_ctx = unitize(CATALOG["finite_pointwise"].trunc)
         fp_gen = SampleGen(42, fp_ctx.space)
         e_samples = [fp_gen.element() for _ in range(200)]
-        result = orthogonal_complement_witness(fp_ctx, e_samples)
-        assert isinstance(result, UnitalSpan)
-        assert result.failure is None
-        assert result.w == UnitizedElement(scale(-1, fp_const(3, 1)), Fraction(1))
-        assert result.verified_pairs >= 200
+        report = check_thm11_orthocomplement(fp_ctx, e_samples)
+        w = UnitizedElement(scale(-1, fp_const(3, 1)), Fraction(1))
+        assert report.verdict == "pass" and report.trials >= 200
+        assert report.detail == f"span of 1-u, w={unitized_to_json(w)}"
 
         candidates = [sparse_ctx.scalar(1)]
-        nz = orthogonal_complement_witness(
-            sparse_ctx, [sparse({1: 1})], candidates=candidates
-        )
-        assert isinstance(nz, NonUnitalZero)
-        assert nz.unresolved == () and nz.separated == 1
-        assert nz.table[0][0] == {"e": {}, "lambda": "1/1"}
+        nz = check_thm11_orthocomplement(sparse_ctx, [sparse({1: 1})], candidates=candidates)
+        assert (nz.verdict, nz.trials, nz.detail) == ("pass", 1, "separated=1")
 
 
 def test_criterion_5_band_machinery():

@@ -182,11 +182,11 @@ def test_unitized_evaluation_extends_the_base(name, seed):
     gen = SampleGen(seed, ctx.space)
     env = {v: gen.element() for v in ("x", "y", "z")}
     base = _value_or_negative_trunc(term, env, ctx.trunc)
-    unitized = _value_or_negative_trunc(term, env, ctx.uctx)
+    unitized = _value_or_negative_trunc(term, env, ctx)
     if base is NegativeTruncArgument:
         assert unitized is NegativeTruncArgument, render(term)
     else:
-        assert unitized == ctx.uctx.embed(base), render(term)
+        assert unitized == ctx.embed(base), render(term)
 
 
 def test_eval_examples():
@@ -290,7 +290,7 @@ def _compiled_check(assertion, env, lat):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(seed=st.integers(min_value=0, max_value=2**32))
 def test_compiled_evaluator_matches_the_tree_walker(name, unitized, seed):
-    ctx = CATALOG[name].uctx if unitized else CATALOG[name].trunc
+    ctx = CATALOG[name] if unitized else CATALOG[name].trunc
     rng = random.Random(seed)
     gen = SampleGen(seed, ctx.space)
     for _ in range(4):

@@ -1,4 +1,5 @@
 import importlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,7 @@ from trunclat import (
     in_unitized_band,
     leq_u,
     lexpair,
+    meet,
     meet_u,
     project_band_unitized,
     repro_c00_ruc,
@@ -98,13 +100,18 @@ def test_unitization_archimedean_decisions():
 
 def test_unitization_archimedean_undecided_without_closed_form():
     space = FinitePointwise(2)
-    ctx = engine.LawContext(space, truncation(space, MeetWithUnit(fp(1, 0))))
+    ctx = unitize(truncation(space, MeetWithUnit(fp(1, 0))))
     assert unitization_archimedean(ctx) == Decision(None)
 
 
-def test_law_context_caches_its_unitization():
-    ctx = engine.LawContext(SparseSeq(), CATALOG["sparse_seq"].trunc)
-    assert ctx.uctx is ctx.uctx
+def test_orthocomplement_law_refutes_a_unit_the_map_does_not_meet_with():
+    # the map meets with (1,1) but declares the unit (2,2): |1 - u| meets the base
+    space = FinitePointwise(2)
+    t = truncation(space, FixtureTruncation("meet11", lambda x: meet(x, fp(1, 1)), unit=fp(2, 2)))
+    report = engine.run_law(engine.LawContext(space, t), "thm11.orthocomplement", 1, 40)
+    assert (report.verdict, report.trials) == ("refuted", 0)
+    assert report.witness == {"x": ["24/1", "5/19"], "c": "1/1"}
+    json.dumps(report.to_json_dict())
 
 
 # -- decision_report: one report path for every decider -----------------------
@@ -184,6 +191,19 @@ def test_run_suite_deterministic():
     assert reports_to_jsonl(first) != reports_to_jsonl(third)
 
 
+def test_run_suite_checks_the_context_before_any_law_runs(monkeypatch):
+    calls = []
+
+    def probe(ctx, gen, n):
+        calls.append(ctx)
+        return LawReport.passed("probe", n, gen.seed)
+
+    monkeypatch.setattr(engine, "REGISTRY", (engine.Law("probe", probe),))
+    with pytest.raises(SpaceMismatch):
+        run_suite(SparseSeq(), CATALOG["finite_pointwise"].trunc, 1, 10)
+    assert calls == []
+
+
 def test_expected_violation_registry():
     assert expected_violations(CATALOG["lex_plane"]) == frozenset(
         {"archimedean.space", "archimedean.unitization"}
@@ -207,11 +227,11 @@ def test_expected_violations_are_derived_from_the_deciders():
     for name, ctx in CATALOG.items():
         assert expected_violations(ctx) == OLD_EXPECTED_TABLE[name], name
     lex = LexPlane()
-    on_first_axis = engine.LawContext(lex, truncation(lex, MeetWithUnit(lexpair(1, 0))))
+    on_first_axis = unitize(truncation(lex, MeetWithUnit(lexpair(1, 0))))
     assert expected_violations(on_first_axis) == frozenset(
         {"tau3", "archimedean.space", "archimedean.unitization"}
     )
-    on_second_axis = engine.LawContext(lex, truncation(lex, MeetWithUnit(lexpair(0, 1))))
+    on_second_axis = unitize(truncation(lex, MeetWithUnit(lexpair(0, 1))))
     assert "tau3" not in expected_violations(on_second_axis)
 
 
@@ -337,7 +357,7 @@ def test_uniform_cauchy_prefix_stops_at_the_planted_pair(monkeypatch):
 def test_uniform_cauchy_prefix_matches_pairwise_oracle(name, seed, length, spread, eps):
     # Windows of unitized values with nonzero scalar parts in no particular order:
     # a center plus perturbations scaled by `spread`, so both verdicts occur.
-    ctx = CATALOG[name].uctx
+    ctx = CATALOG[name]
     gen = SampleGen(seed, ctx.space)
     center = gen.unitized()
     values = [center + spread * gen.unitized() for _ in range(length)]
@@ -590,6 +610,8 @@ def test_band_component_join_is_linear(monkeypatch):
 
 def test_positivity_checks_reject_an_element_of_another_space():
     space = FinitePointwise(3)
+    with pytest.raises(SpaceMismatch):
+        band_component(space, band(space, {1}), fp(1, 2))
     with pytest.raises(SpaceMismatch):
         band_component_join(space, band(space, {1}), fp(1, 2))
     with pytest.raises(SpaceMismatch):

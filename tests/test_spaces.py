@@ -401,7 +401,7 @@ def test_order_kernel_never_uses_fraction_rich_comparisons(monkeypatch):
         for a, b in zip(xs, xs[1:]):
             out += [leq(a, b), join(a, b), meet(a, b), pos(a), neg(a), abs(a), spaces.is_positive(a)]
         out += [truncate(ctx.trunc, p) for p in ps]
-        out += [(is_positive(ctx.uctx, u), abs_u(ctx.uctx, u)) for u in us]
+        out += [(is_positive(ctx, u), abs_u(ctx, u)) for u in us]
         return out
 
     expected = [outputs(*case) for case in cases]

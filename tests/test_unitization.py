@@ -1,4 +1,5 @@
 import importlib
+import json
 from collections import Counter
 from fractions import Fraction
 
@@ -14,16 +15,15 @@ from trunclat import (
     LexPlane,
     MeetWithUnit,
     NegativeInput,
-    NonUnitalZero,
     SampleGen,
     SpaceMismatch,
     SparseSeq,
-    UnitalSpan,
     UnitizedElement,
     abs_u,
     catalog,
     check_ideal,
     check_thm11_fixedset,
+    check_thm11_orthocomplement,
     fp,
     fp_const,
     in_fixed_set,
@@ -36,7 +36,6 @@ from trunclat import (
     line,
     meet_u,
     neg_u,
-    orthogonal_complement_witness,
     pos_u,
     scale,
     sparse,
@@ -383,35 +382,29 @@ def test_ideal_absorption_sampled():
 def test_orthocomplement_unital_two_dims():
     space = FinitePointwise(2)
     ctx = unitize(truncation(space, MeetWithUnit(fp_const(2, 1))))
-    result = orthogonal_complement_witness(ctx, [fp(1, 0), fp(0, 1), fp(3, 5)])
-    assert isinstance(result, UnitalSpan)
-    assert result.failure is None
-    assert result.w == ue(fp(-1, -1), 1)
+    report = check_thm11_orthocomplement(ctx, [fp(1, 0), fp(0, 1), fp(3, 5)])
+    w = ue(fp(-1, -1), 1)
+    # three samples, three scalars each
+    assert (report.verdict, report.trials) == ("pass", 9)
+    assert report.detail == f"span of 1-u, w={unitized_to_json(w)}"
     # |w| ^ (x, 0) = 0 for x = (1,0), spelled out
-    x = fp(1, 0)
-    assert meet_u(ctx, abs_u(ctx, result.w), ctx.embed(x)) == ctx.zero
+    assert meet_u(ctx, abs_u(ctx, w), ctx.embed(fp(1, 0))) == ctx.zero
+    json.dumps(report.to_json_dict())
 
 
 def test_orthocomplement_unital_lex_plane():
-    result = orthogonal_complement_witness(
-        LEXU, [lexpair(1, 0), lexpair(0, 1), lexpair(2, -3)]
-    )
-    assert isinstance(result, UnitalSpan)
-    assert result.failure is None
-    assert result.w == ue(lexpair(0, -1), 1)
+    report = check_thm11_orthocomplement(LEXU, [lexpair(1, 0), lexpair(0, 1), lexpair(2, -3)])
+    assert (report.verdict, report.trials) == ("pass", 9)
+    assert report.detail == f"span of 1-u, w={unitized_to_json(ue(lexpair(0, -1), 1))}"
 
 
 def test_orthocomplement_nonunital_sparse():
     candidates = [SPARSE.scalar(1), ue(sparse({3: 2}), 0), ue(sparse({1: -1}), 2)]
-    result = orthogonal_complement_witness(
+    report = check_thm11_orthocomplement(
         SPARSE, [sparse({1: 1}), sparse({2: 1})], candidates=candidates
     )
-    assert isinstance(result, NonUnitalZero)
-    assert result.unresolved == ()
-    assert result.separated == 3
+    assert (report.verdict, report.trials, report.detail) == ("pass", 3, "separated=3")
     # the pure-scalar candidate is met nontrivially by a base element
-    scalar_row = result.table[0]
-    assert scalar_row[0] == {"e": {}, "lambda": "1/1"}
     z = SPARSE.scalar(1)
     x = sparse({1: 1})
     assert meet_u(SPARSE, abs_u(SPARSE, z), SPARSE.embed(x)) == SPARSE.embed(sparse({1: 1}))
@@ -419,9 +412,18 @@ def test_orthocomplement_nonunital_sparse():
 
 def test_orthocomplement_nonunital_identity_line():
     candidates = [LINEU.scalar(1), ue(line(2), 0), ue(line(-1), Fraction(1, 2))]
-    result = orthogonal_complement_witness(LINEU, [line(1)], candidates=candidates)
-    assert isinstance(result, NonUnitalZero)
-    assert result.unresolved == ()
+    report = check_thm11_orthocomplement(LINEU, [line(1)], candidates=candidates)
+    assert (report.verdict, report.trials, report.detail) == ("pass", 3, "separated=3")
+
+
+def test_orthocomplement_without_a_separator_is_inconclusive():
+    # on the identity over R^2 no fixed base element is tried against the scalar 1
+    space = FinitePointwise(2)
+    ctx = unitize(truncation(space, FixtureTruncation("identity", lambda x: x)))
+    report = check_thm11_orthocomplement(ctx, [], candidates=[ctx.scalar(1)])
+    assert (report.verdict, report.trials, report.bound) == ("inconclusive", 0, 1)
+    assert report.detail == "unresolved=1"
+    json.dumps(report.to_json_dict())
 
 
 def test_broken_unit_is_caught_by_tau2():
