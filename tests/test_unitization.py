@@ -71,6 +71,11 @@ DOUBLED = tuple(
     unitize(truncation(space, FixtureTruncation("double", lambda x: scale(2, x))))
     for space in (SparseSeq(), FinitePointwise(3))
 )
+# units off the catalog: a sparse unit with gaps, zero coordinates, and a lex unit with a negative second coordinate
+OFF_CATALOG = tuple(
+    unitize(truncation(u.space, MeetWithUnit(u)))
+    for u in (sparse({1: 1, 4: 2, 9: Fraction(1, 3)}), fp(1, 0, Fraction(5, 2), 0), lexpair(2, -3))
+)
 
 
 def ue(e, lam):
@@ -158,7 +163,7 @@ def _base_elements(space):
 @st.composite
 def unitized_cases(draw):
     """A context and two elements; each ``lam`` is 0, > 0 or < 0, and a base part may be 0."""
-    ctx = draw(st.sampled_from(ALL_CTX + DOUBLED))
+    ctx = draw(st.sampled_from(ALL_CTX + DOUBLED + OFF_CATALOG))
 
     def element(lam_sign):
         e = zero(ctx.space) if draw(st.integers(0, 4)) == 0 else draw(_base_elements(ctx.space))
