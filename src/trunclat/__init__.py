@@ -68,8 +68,8 @@ from .truncation import (
     check_tau3,
     compare_fixed_sets,
     in_fixed_set,
+    pos_base,
     truncate,
-    truncate_scaled,
     truncation,
     truncation_from_json,
     truncation_to_json,

@@ -452,6 +452,64 @@ def neg(a: Element) -> Element:
     return _map(a, _neg_part)
 
 
+def _to_zero(v: Fraction) -> Fraction:
+    return _ZERO
+
+
+def shifted_pos(x: Element, lam: Fraction, u: Element) -> Element:
+    """``(x + lam*u)+ - max(lam, 0)*u`` for ``u >= 0`` and rational ``lam != 0``.
+
+    That is ``x v (-lam*u)`` for ``lam > 0`` and ``(x - |lam|*u)+`` for
+    ``lam < 0``, computed value by value in one pass over the payloads.  A
+    value the clip leaves alone is ``x``'s own value or the module zero; a
+    value is built only where the clip binds, and where ``u`` is 1 the clip
+    for ``lam > 0`` is ``-lam`` itself.  In the sparse merge an index in
+    ``x``'s support only gives ``pos(v)``, and an index in ``u``'s support only
+    gives 0, for either sign of ``lam``.  The lex order is not componentwise,
+    so the lex plane goes through ``join`` and ``pos``.
+    """
+    if isinstance(x.space, LexPlane):
+        _same_space(x, u)
+        return join(x, scale(-lam, u)) if lam.numerator > 0 else pos(sub(x, scale(-lam, u)))
+    ln, ld = lam.numerator, lam.denominator
+    if ln > 0:
+        nln = -ln
+        floor = None  # -lam, built at the first coordinate where u is 1 and the clip binds
+
+        def clip(v: Fraction, w: Fraction) -> Fraction:
+            # max(v, -lam*w); v < -lam*w is cross-multiplied over positive denominators
+            nonlocal floor
+            vn = v.numerator
+            if vn >= 0:
+                return v
+            wn = w.numerator
+            if not wn:
+                return _ZERO
+            wd = w.denominator
+            if vn * ld * wd >= nln * wn * v.denominator:
+                return v
+            if wn != wd:
+                return Fraction(nln * wn, ld * wd)
+            if floor is None:
+                floor = Fraction(nln, ld)
+            return floor
+    else:
+        cn = -ln
+
+        def clip(v: Fraction, w: Fraction) -> Fraction:
+            # max(v - |lam|*w, 0), built from the cross-multiplied comparison's own products
+            vn = v.numerator
+            if vn <= 0:
+                return _ZERO
+            wn = w.numerator
+            if not wn:
+                return v
+            vd, wd = v.denominator, w.denominator
+            left, right = vn * ld * wd, cn * wn * vd
+            return Fraction(left - right, vd * ld * wd) if left > right else _ZERO
+    return _zip(x, u, clip, _pos_value, _to_zero)
+
+
 def sup_finite(elements: Iterable[Element]) -> Element:
     """Supremum of a nonempty finite collection.
 

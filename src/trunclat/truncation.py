@@ -16,12 +16,12 @@ The fixed set of a truncation is ``{x : tr(|x|) = |x|}``; two truncations on
 the same space agree exactly when their fixed sets agree, which is what
 :func:`compare_fixed_sets` probes on samples.
 
-The unitization's order structure needs ``c * tr(p / c)`` for ``p >= 0`` and
-``c > 0``, which :func:`truncate_scaled` gives per kind without rescaling:
-``p ^ c*u`` for ``MeetWithUnit(u)`` (scaling by ``c > 0`` is a lattice
-automorphism, so this holds on the lex plane too), ``min(v, c)`` value by
-value for ``MeetWithOne``, ``p`` for the identity, and the definition itself
-for a fixture.
+The unitization's order structure needs the base part of ``(x + lam*1)+``,
+which is ``pos(x) - |lam| tr(p / |lam|)`` with ``p`` the part of ``x`` of the
+other sign than ``lam``.  :func:`pos_base` gives it per kind in one pass:
+``x v (-lam*u)`` or ``(x - |lam|*u)+`` for ``MeetWithUnit(u)``, the same with
+the constant 1 for ``MeetWithOne``, ``x`` or 0 for the identity, and the
+definition itself for a fixture.
 
 A :class:`TruncationSpec` is the base lattice with its truncation, and
 :class:`~trunclat.unitization.UnitizationCtx` is the unitization with the
@@ -57,6 +57,8 @@ from .spaces import (
     neg,
     pos,
     scale,
+    shifted_pos,
+    sub,
     zero,
 )
 
@@ -194,34 +196,63 @@ def truncate(t: TruncationSpec, x: Element) -> Element:
     raise TypeError(f"unknown truncation kind {t.kind!r}")
 
 
-def truncate_scaled(t: TruncationSpec, p: Element, c) -> Element:
-    """``c * tr(p / c)`` for ``p >= 0`` and rational ``c > 0``, with no rescaling for the catalog kinds.
+def pos_base(t: TruncationSpec, x: Element, lam) -> Element:
+    """The base part ``R`` of ``(x + lam*1)+`` in the unitization, for rational ``lam != 0``.
 
-    Scaling by ``c > 0`` is a lattice automorphism, so ``c * (p/c ^ u)`` is
-    ``p ^ c*u`` on every space, the lex plane included, and
-    ``c * min(p/c, 1)`` is ``min(p, c)``; the identity gives ``p`` back.  A
-    fixture truncation is an arbitrary map and gets the definition itself.
+    With ``c = |lam|`` and ``p`` equal to ``neg(x)`` for ``lam > 0`` and to
+    ``pos(x)`` for ``lam < 0``, ``R = pos(x) - T`` where ``T = c * tr(p / c)``
+    is the cut.  Each catalog kind gives ``R`` in one pass with no rescaling:
+
+    * ``MeetWithUnit(u)``: ``R = (x + lam*u)+ - max(lam, 0)*u``
+      (:func:`~trunclat.spaces.shifted_pos`), that is ``x v (-lam*u)`` for
+      ``lam > 0`` and ``(x - c*u)+`` for ``lam < 0``.  Proof: scaling by
+      ``c`` is a lattice automorphism, so ``T = p ^ c*u``.  For ``lam > 0``,
+      ``pos(x) - (neg(x) ^ lam*u)`` is ``x`` where ``x >= 0`` and
+      ``-(-x ^ lam*u) = x v (-lam*u)`` where ``x <= 0``; for ``lam < 0``,
+      ``pos(x) - (pos(x) ^ c*u) = (pos(x) - c*u)+``, which is 0 where
+      ``x <= 0`` and ``(x - c*u)+`` where ``x >= 0``.  Only ``u >= 0`` is
+      used, and "where" is a coordinate on the pointwise spaces and the sign
+      of the whole pair on the lex plane, whose order is total.
+    * ``MeetWithOne``: ``max(v, -lam)`` at each support index for ``lam > 0``;
+      for ``lam < 0``, ``v - c`` where ``v > c``, and other indices drop out.
+    * ``IdentityTruncation``: ``T = p``, so ``R`` is ``x`` for ``lam > 0`` and
+      0 for ``lam < 0``.
+    * ``FixtureTruncation``: the definition ``pos(x) - c * tr(p / c)``.
     """
-    if p.space is not t.space and p.space != t.space:
+    if x.space is not t.space and x.space != t.space:
         raise SpaceMismatch("element does not live on the truncation's space")
-    c = coerce_rational(c)
-    if c.numerator <= 0:
-        raise PreconditionViolated(f"truncate_scaled requires a scalar c > 0, got {c}")
-    if not is_positive(p):
-        raise NegativeInput(f"truncate_scaled requires a positive element, got {p!r}")
+    lam = coerce_rational(lam)
+    if not lam.numerator:
+        raise PreconditionViolated("pos_base requires a scalar lam != 0")
     match t.kind:
         case MeetWithUnit(unit=u):
-            return meet(p, scale(c, u))
+            return shifted_pos(x, lam, u)
         case MeetWithOne():
-            # v < c by cross-multiplication: both denominators are positive
-            cn, cd = c.numerator, c.denominator
+            ln, ld = lam.numerator, lam.denominator
+            if ln > 0:
+                # v >= -lam by cross-multiplication: both denominators are positive
+                floor, nln = -lam, -ln
+                return Element(
+                    x.space,
+                    tuple(
+                        kv if kv[1].numerator * ld >= nln * kv[1].denominator else (kv[0], floor)
+                        for kv in x.payload
+                    ),
+                )
+            cn = -ln
             return Element(
-                p.space, tuple((k, v if v.numerator * cd < cn * v.denominator else c) for k, v in p.payload)
+                x.space,
+                tuple(
+                    (k, Fraction(v.numerator * ld - cn * v.denominator, v.denominator * ld))
+                    for k, v in x.payload
+                    if v.numerator * ld > cn * v.denominator
+                ),
             )
         case IdentityTruncation():
-            return p
+            return x if lam.numerator > 0 else zero(x.space)
         case FixtureTruncation():
-            return scale(c, truncate(t, scale(1 / c, p)))
+            c = abs(lam)
+            return sub(pos(x), scale(c, truncate(t, scale(1 / c, neg(x) if lam.numerator > 0 else pos(x)))))
     raise TypeError(f"unknown truncation kind {t.kind!r}")
 
 

@@ -1,26 +1,25 @@
 """The unitization of a truncated space: a formal unit adjoined to the base.
 
 Elements are pairs ``x + lam*1`` with ``x`` in the base space and ``lam``
-rational.  The order structure comes from one closed form, the positive part.
-For ``lam != 0`` let ``p`` be ``neg(x)`` if ``lam > 0`` and ``pos(x)`` if
-``lam < 0``, and ``T = |lam| * tr(p / |lam|)``; ``p / |lam|`` is the join
-``(1/lam) neg(x) v (-1/lam) pos(x)`` of a positive and a negative term, so
-
-    ``|x + lam| = |x| - 2T + |lam|``  and
-    ``(x + lam)+ = ((x + lam) + |x + lam|) / 2 = pos(x) - T + max(lam, 0)``,
-
-with ``(x + lam)+ = pos(x)`` for ``lam = 0``.  ``T`` comes from
-:func:`~trunclat.truncation.truncate_scaled` with ``c = |lam|``, which needs
-no rescaling for the catalog kinds: ``min(p, |lam| u)`` for the meet
-truncations (``u = 1`` for ``meet_with_one``) and ``p`` for the identity.
-Then ``a v b = b + (a - b)+`` and ``a ^ b = a - (a - b)+``: exact rational
-algebra on the half-sums ``(a + b +- |a - b|) / 2``, so the rules hold for
-any deterministic truncation map.  The tests cross-check them against the
-half-sum forms and a pointwise oracle.  The positive cone is ``lam = 0`` and
-``x >= 0``, or ``lam > 0`` and ``y = neg(x) / lam`` fixed by the truncation,
-tested as ``lam tr(neg(x) / lam) = neg(x)``; the truncation on the
-unitization is the meet with the adjoined unit, so ``a`` is in its fixed set
-exactly when ``|a| <= 1``.
+rational.  The order structure comes from one closed form, the positive part
+``(x + lam)+ = R + max(lam, 0)``.  For ``lam != 0`` let ``p`` be ``neg(x)`` if
+``lam > 0`` and ``pos(x)`` if ``lam < 0``, and ``T = |lam| * tr(p / |lam|)``;
+``p / |lam|`` is the join ``(1/lam) neg(x) v (-1/lam) pos(x)`` of a positive
+and a negative term, so ``|x + lam| = |x| - 2T + |lam|`` and the half-sum
+``((x + lam) + |x + lam|) / 2`` has the base part ``R = pos(x) - T``; for
+``lam = 0``, ``R = pos(x)``.  :func:`~trunclat.truncation.pos_base` gives
+``R`` in one pass for the catalog kinds: ``x v (-lam u)`` for ``lam > 0`` and
+``(x - |lam| u)+`` for ``lam < 0`` for the meet truncations (``u = 1`` for
+``meet_with_one``), and ``x`` or 0 for the identity.  Everything else derives
+from the positive part: ``|a| = a+ + a-`` with ``a- = (-a)+``,
+``a v b = b + (a - b)+`` and ``a ^ b = a - (a - b)+``: exact rational algebra
+on the half-sums ``(a + b +- |a - b|) / 2``, so the rules hold for any
+deterministic truncation map.  The tests cross-check them against the
+half-sum forms and a pointwise oracle.  The positive cone is where ``a+ = a``:
+``lam = 0`` and ``x >= 0``, or ``lam > 0`` and ``R = x``, which is
+``lam tr(neg(x) / lam) = neg(x)``; the truncation on the unitization is the
+meet with the adjoined unit, so ``a`` is in its fixed set exactly when
+``|a| <= 1``.
 
 :class:`UnitizationCtx` carries the same lattice methods as the base
 :class:`~trunclat.truncation.TruncationSpec` (``zero``, ``leq``, ``join``,
@@ -49,14 +48,13 @@ from .spaces import (
     element_from_json,
     element_to_json,
     line,
-    neg,
     pos,
     scale,
     sparse,
     support,
     zero,
 )
-from .truncation import TruncationSpec, in_fixed_set, truncate_scaled
+from .truncation import TruncationSpec, in_fixed_set, pos_base
 from .report import LawReport
 
 _ZERO = Fraction(0)
@@ -159,22 +157,16 @@ def _base(ctx: UnitizationCtx, a: UnitizedElement) -> Element:
     return a.e
 
 
-def _cut(ctx: UnitizationCtx, a: UnitizedElement) -> Element:
-    """``T = |lam| tr(p / |lam|)`` for ``lam != 0``; ``p`` is ``neg(x)`` if ``lam > 0``, else ``pos(x)``."""
-    lam_abs, p = (a.lam, neg(a.e)) if a.lam.numerator > 0 else (-a.lam, pos(a.e))
-    return truncate_scaled(ctx.trunc, p, lam_abs)
-
-
 def is_positive(ctx: UnitizationCtx, a: UnitizedElement) -> bool:
-    """Cone membership: for ``lam > 0``, ``p = neg(x)`` must satisfy ``lam tr(p / lam) = p``.
+    """Cone membership ``a+ = a``: for ``lam > 0``, the base part of ``a+`` must be ``x`` itself.
 
-    That is ``tr(y) = y`` for ``y = neg(x) / lam``, without building ``y``.
+    The values the positive part leaves alone are ``x``'s own, so the
+    comparison is mostly identity checks.
     """
     x = _base(ctx, a)
     if a.lam.numerator <= 0:
         return not a.lam.numerator and ctx.trunc.is_positive(x)
-    p = neg(x)
-    return truncate_scaled(ctx.trunc, p, a.lam) == p
+    return pos_base(ctx.trunc, x, a.lam) == x
 
 
 def leq_u(ctx: UnitizationCtx, a: UnitizedElement, b: UnitizedElement) -> bool:
@@ -187,8 +179,9 @@ def lt_u(ctx: UnitizationCtx, a: UnitizedElement, b: UnitizedElement) -> bool:
 
 def pos_u(ctx: UnitizationCtx, a: UnitizedElement) -> UnitizedElement:
     x = _base(ctx, a)
-    lam = a.lam if a.lam.numerator > 0 else _ZERO
-    return UnitizedElement(pos(x) - _cut(ctx, a) if a.lam.numerator else pos(x), lam)
+    if not a.lam.numerator:
+        return UnitizedElement(pos(x), _ZERO)
+    return UnitizedElement(pos_base(ctx.trunc, x, a.lam), a.lam if a.lam.numerator > 0 else _ZERO)
 
 
 def neg_u(ctx: UnitizationCtx, a: UnitizedElement) -> UnitizedElement:
@@ -196,8 +189,8 @@ def neg_u(ctx: UnitizationCtx, a: UnitizedElement) -> UnitizedElement:
 
 
 def abs_u(ctx: UnitizationCtx, a: UnitizedElement) -> UnitizedElement:
-    x = _base(ctx, a)
-    return UnitizedElement(abs(x) - scale(2, _cut(ctx, a)) if a.lam.numerator else abs(x), abs(a.lam))
+    """``|a| = a+ + a-``."""
+    return pos_u(ctx, a) + neg_u(ctx, a)
 
 
 def join_u(ctx: UnitizationCtx, a: UnitizedElement, b: UnitizedElement) -> UnitizedElement:

@@ -32,6 +32,10 @@ The module also keeps these references:
   ``trunclat.unitization`` are checked, and fixed-set membership as
   ``truncate_u(|a|) == |a|``, against which the order form ``|a| <= 1`` of
   ``in_fixed_u`` is checked;
+* the cut ``c tr(p / c)`` per truncation kind as first written: ``p ^ c*u``
+  for a meet with ``u``, ``min(v, c)`` for ``meet_with_one``, ``p`` for the
+  identity and the definition for a fixture, against which the one-pass base
+  part ``pos(x) - c tr(p / c)`` of ``trunclat.truncation.pos_base`` is checked;
 * the sampler's rational draw as first written, through ``Random.randint``,
   against which the ``getrandbits`` replay of ``SampleGen.rational`` is
   checked, value by value and stream position by stream position;
@@ -47,8 +51,12 @@ from trunclat import (
     Element,
     EvalError,
     FinitePointwise,
+    FixtureTruncation,
     IdentityLine,
+    IdentityTruncation,
     LexPlane,
+    MeetWithOne,
+    MeetWithUnit,
     NegativeInput,
     NegativeTruncArgument,
     OneOutsideUnitization,
@@ -63,6 +71,7 @@ from trunclat import (
     join,
     leq,
     leq_u,
+    meet,
     neg,
     pos,
     scale,
@@ -280,6 +289,20 @@ def ref_in_fixed_u(ctx, a: UnitizedElement) -> bool:
     """Fixed-set membership as first written: ``truncate_u(|a|) == |a|``."""
     b = abs_u(ctx, a)
     return truncate_u(ctx, b) == b
+
+
+def ref_truncate_scaled(t, p: Element, c: Fraction) -> Element:
+    """``c * tr(p / c)`` for ``p >= 0`` and ``c > 0``, per truncation kind."""
+    match t.kind:
+        case MeetWithUnit(unit=u):
+            return meet(p, scale(c, u))
+        case MeetWithOne():
+            return Element(p.space, tuple((k, min(v, c)) for k, v in p.payload))
+        case IdentityTruncation():
+            return p
+        case FixtureTruncation():
+            return scale(c, truncate(t, scale(1 / c, p)))
+    raise TypeError(f"unknown truncation kind {t.kind!r}")
 
 
 def ref_rational(rng, *, nonneg: bool = False, nonzero: bool = False) -> Fraction:

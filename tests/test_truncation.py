@@ -32,15 +32,19 @@ from trunclat import (
     line,
     lexpair,
     meet,
+    neg,
+    pos,
+    pos_base,
     scale,
     sparse,
     truncate,
-    truncate_scaled,
     truncation,
     truncation_from_json,
     truncation_to_json,
     zero,
 )
+
+from oracles import ref_truncate_scaled
 
 CATALOG = catalog()
 
@@ -118,11 +122,13 @@ def test_meet_with_unit_matches_meet():
         assert in_fixed_set(t, x) == (abs(x) <= u)
 
 
-# -- c * tr(p / c) per kind ----------------------------------------------------
+# -- the base part pos(x) - c tr(p / c) of (x + lam*1)+, per kind ----------------
 
 SCALED_SPECS = (
     *(config.trunc for config in CATALOG.values()),
     truncation(LexPlane(), MeetWithUnit(lexpair(1, 0))),
+    # positive in the lex order with a negative second coordinate
+    truncation(LexPlane(), MeetWithUnit(lexpair(2, -3))),
     truncation(SparseSeq(), MeetWithUnit(sparse({1: 1, 4: 2, 9: Fraction(1, 3)}))),
     truncation(FinitePointwise(4), MeetWithUnit(fp(1, 0, Fraction(5, 2), 0))),
     # not homogeneous: tr(x) = x ^ 1 v x/2, so c * tr(p / c) depends on c
@@ -149,32 +155,39 @@ def _positive_elements(space):
 
 @st.composite
 def scaled_cases(draw):
+    """A truncation, an element of any sign and a scalar ``lam != 0``."""
     t = draw(st.sampled_from(SCALED_SPECS))
+    positives = _positive_elements(t.space)
+    differences = st.tuples(positives, positives).map(lambda ab: ab[0] - ab[1])
+    x = draw(st.one_of(positives, positives.map(lambda p: -p), differences))
     # c = 1 and c equal to a value of p are where a strict and a weak cut differ
     c = draw(st.one_of(_scalars, st.just(Fraction(1)), st.sampled_from((Fraction(1, 2), 3, 7))))
-    return t, draw(_positive_elements(t.space)), Fraction(c)
+    return t, x, draw(st.sampled_from((1, -1))) * Fraction(c)
 
 
 @settings(max_examples=800, derandomize=True, deadline=None)
 @given(scaled_cases())
 def test_truncate_scaled_is_the_rescaled_truncation(case):
-    t, p, c = case
-    assert truncate_scaled(t, p, c) == scale(c, truncate(t, scale(1 / c, p)))
+    """The per-kind cut ``c tr(p / c)`` is the rescaled truncation, and ``pos_base`` is ``pos(x)`` minus it."""
+    t, x, lam = case
+    c, p = abs(lam), neg(x) if lam > 0 else pos(x)
+    cut = ref_truncate_scaled(t, p, c)
+    assert cut == scale(c, truncate(t, scale(1 / c, p)))
+    assert pos_base(t, x, lam) == pos(x) - cut
 
 
 @pytest.mark.parametrize("t", SCALED_SPECS, ids=lambda t: f"{type(t.space).__name__}-{type(t.kind).__name__}")
 def test_truncate_scaled_rejects_bad_input(t):
+    """``pos_base`` takes any sign but no element of another space, and no ``lam = 0``, where ``c tr(p / c)`` has no ``c``."""
     if isinstance(t.space, FinitePointwise):
-        p = fp_const(t.space.dim, 1)
+        x = fp_const(t.space.dim, -1)
     else:
-        p = {SparseSeq: sparse({2: 1}), LexPlane: lexpair(0, 1), IdentityLine: line(1)}[type(t.space)]
+        x = {SparseSeq: sparse({2: -1}), LexPlane: lexpair(0, -1), IdentityLine: line(-1)}[type(t.space)]
     with pytest.raises(SpaceMismatch):
-        truncate_scaled(t, line(1) if isinstance(t.space, LexPlane) else lexpair(1, 1), 2)
-    with pytest.raises(NegativeInput):
-        truncate_scaled(t, -p, 2)
-    for c in (0, -1, Fraction(-1, 3)):
+        pos_base(t, line(1) if isinstance(t.space, LexPlane) else lexpair(1, 1), 2)
+    for lam in (0, Fraction(0)):
         with pytest.raises(PreconditionViolated):
-            truncate_scaled(t, p, c)
+            pos_base(t, x, lam)
 
 
 # -- axiom checks ------------------------------------------------------------

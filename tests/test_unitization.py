@@ -199,10 +199,16 @@ def test_positive_part_forms_match_half_sums(case):
         assert ctx in DOUBLED
 
 
-def test_unitized_ops_cut_through_one_truncate_scaled(monkeypatch):
+def test_unitized_ops_go_through_pos_base(monkeypatch):
+    """Each positive part with ``lam != 0`` is one ``pos_base`` call, and ``abs_u`` is two.
+
+    The counts are of the calls the unitization and truncation modules make.
+    A catalog kind makes no base ``truncate``, ``scale`` or ``join``; a
+    fixture runs the definition ``pos(x) - c * tr(p / c)``, one ``truncate``
+    and two ``scale``s.
+    """
     truncation_module = importlib.import_module("trunclat.truncation")
     counts = Counter()
-    scales = []  # (module, scalar, element) of every scale call
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -211,52 +217,38 @@ def test_unitized_ops_cut_through_one_truncate_scaled(monkeypatch):
 
         return wrapper
 
-    def recording(module):
-        def wrapper(c, a):
-            scales.append((module, c, a))
-            return spaces.scale(c, a)
-
-        return wrapper
-
-    monkeypatch.setattr(unitization, "truncate_scaled", counting("truncate_scaled", unitization.truncate_scaled))
+    monkeypatch.setattr(unitization, "pos_base", counting("pos_base", unitization.pos_base))
     monkeypatch.setattr(truncation_module, "truncate", counting("truncate", truncation_module.truncate))
-    monkeypatch.setattr(unitization, "scale", recording("unitization"))
-    monkeypatch.setattr(truncation_module, "scale", recording("truncation"))
+    for module in (unitization, truncation_module):
+        monkeypatch.setattr(module, "scale", counting("scale", module.scale))
+        # a module that imported ``join`` by name holds its own reference to it
+        monkeypatch.setattr(module, "join", counting("join", spaces.join), raising=False)
     monkeypatch.setattr(Element, "__abs__", counting("abs", Element.__abs__))
-    # a module that imported ``join`` by name holds its own reference to it
-    base_join = spaces.join
-    monkeypatch.setattr(spaces, "join", counting("join", base_join))
-    monkeypatch.setattr(unitization, "join", counting("join", base_join), raising=False)
 
     def count(ctx, op, *args):
-        """(truncate_scaled, base truncate, rescalings of the argument, unitization scales, base joins)."""
+        """(pos_base, base truncate, scale, join) calls made by one op."""
         counts.clear()
-        scales.clear()
         op(ctx, *args)
-        unit = ctx.trunc.unit
-        rescalings = sum(1 for module, _, a in scales if module == "truncation" and a is not unit)
-        doublings = [c for module, c, _ in scales if module == "unitization"]
-        assert all(c == 2 for c in doublings), doublings
-        return counts["truncate_scaled"], counts["truncate"], rescalings, len(doublings), counts["join"]
+        assert counts["abs"] == 0
+        return counts["pos_base"], counts["truncate"], counts["scale"], counts["join"]
 
-    for ctx in ALL_CTX + DOUBLED:
-        # a catalog kind cuts in closed form; a fixture runs the definition c * tr(p / c)
+    for ctx in ALL_CTX + DOUBLED + OFF_CATALOG:
         fixture = ctx in DOUBLED
         gen = SampleGen(107, ctx.space)
         for _ in range(20):
             x, y = gen.element(), gen.element()
             lam = gen.rational(nonzero=True)
             a, b = UnitizedElement(x, lam), UnitizedElement(y, lam / 2)
-            # lam != 0: one cut, and abs_u doubles it
-            for op, args, doubled in ((pos_u, (a,), 0), (abs_u, (a,), 1), (join_u, (a, b), 0), (meet_u, (a, b), 0)):
-                assert count(ctx, op, *args) == (1, fixture, 2 * fixture, doubled, 0), op.__name__
-            # lam = 0: no cut
+            # lam != 0: one positive part, and abs_u takes two
+            for op, args, parts in ((pos_u, (a,), 1), (neg_u, (a,), 1), (abs_u, (a,), 2),
+                                    (join_u, (a, b), 1), (meet_u, (a, b), 1)):
+                assert count(ctx, op, *args) == (parts, parts * fixture, 2 * parts * fixture, 0), op.__name__
+            assert count(ctx, is_positive, UnitizedElement(x, abs(lam))) == (1, fixture, 2 * fixture, 0)
+            # lam = 0: no positive part needs the truncation
             base, flat = ctx.embed(x), UnitizedElement(y, lam)
             for op, args in ((pos_u, (base,)), (neg_u, (base,)), (abs_u, (base,)),
                              (join_u, (a, flat)), (meet_u, (a, flat))):
-                assert count(ctx, op, *args)[:2] == (0, 0), op.__name__
-            assert count(ctx, is_positive, UnitizedElement(x, abs(lam))) == (1, fixture, 2 * fixture, 0, 0)
-            assert counts["abs"] == 0
+                assert count(ctx, op, *args) == (0, 0, 0, 0), op.__name__
 
 
 _LEX_ZERO = ue(lexpair(0, 0), 0)
