@@ -87,6 +87,7 @@ from .unitization import (
 )
 
 _MASK64 = (1 << 64) - 1
+_ZERO = Fraction(0)
 
 
 def derive_seed(seed: int, law_id: str) -> int:
@@ -605,7 +606,7 @@ def band(space: FinitePointwise, coords: Iterable[int]) -> Band:
 def _mask(space: FinitePointwise, coords: frozenset[int], x: Element) -> Element:
     return Element(
         space,
-        tuple(v if (i + 1) in coords else Fraction(0) for i, v in enumerate(x.payload)),
+        tuple(v if (i + 1) in coords else _ZERO for i, v in enumerate(x.payload)),
     )
 
 
