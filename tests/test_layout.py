@@ -4,8 +4,11 @@ In ``spaces.py`` only the payload walkers (``_map``, ``_zip``, ``_values``),
 ``zero`` and the wire-format functions may dispatch on ``FinitePointwise`` or
 ``IdentityLine``, by a ``case`` pattern or an ``isinstance`` call; every other
 function reaches the dense and scalar layouts through a walker.  In
-``sampling.py`` one ``match`` on the space draws every element.  Both rules
-are checked on the source with the standard ``ast`` module.
+``sampling.py`` one ``match`` on the space draws every element.  No module
+reads the private internals of ``Fraction`` (``_numerator``,
+``_denominator``, ``_normalize``, ``_from_coprime_ints``): they belong to one
+CPython version, and ``_normalize`` is gone in 3.12.  The rules are checked
+on the source with the standard ``ast`` module.
 """
 
 import ast
@@ -24,6 +27,9 @@ LAYOUT_READERS = frozenset({
     "element_to_json",
     "element_from_json",
 })
+
+
+FRACTION_PRIVATES = frozenset({"_numerator", "_denominator", "_normalize", "_from_coprime_ints"})
 
 
 def _parse(module: str) -> ast.Module:
@@ -60,6 +66,35 @@ def space_matches(tree: ast.AST) -> list[int]:
         for node in ast.walk(tree)
         if isinstance(node, ast.Match) and ast.unparse(node.subject).split(".")[-1] == "space"
     ]
+
+
+def fraction_internals(tree: ast.AST) -> list[str]:
+    """``name:line`` for each attribute or keyword argument named like a private ``Fraction`` internal."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in FRACTION_PRIVATES:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.keyword) and node.arg in FRACTION_PRIVATES:
+            found.append((node.value.lineno, node.arg))
+    return [f"{name}:{line}" for line, name in sorted(found)]
+
+
+def test_no_module_reads_fraction_internals():
+    modules = sorted(name for name in os.listdir(SRC) if name.endswith(".py"))
+    assert "spaces.py" in modules
+    found = [f"{module}:{hit}" for module in modules for hit in fraction_internals(_parse(module))]
+    assert not found, f"private Fraction internals are read at {', '.join(found)}"
+
+
+def test_detects_fraction_internals():
+    tree = ast.parse(
+        "def f(v):\n"
+        "    n = v._numerator\n"
+        "    return Fraction(n, v.denominator, _normalize=False)\n"
+        "g = Fraction._from_coprime_ints\n"
+        "numerator = 1\n"
+    )
+    assert fraction_internals(tree) == ["_numerator:2", "_normalize:3", "_from_coprime_ints:4"]
 
 
 def test_only_the_walkers_read_dense_and_scalar_layouts():
