@@ -38,7 +38,10 @@ that ``_map`` never makes.
 The linear operations build no ``Fraction`` whose value is known without
 arithmetic: ``add`` and ``sub`` give back the other operand (negated for
 ``0 - y``) when one value is zero, ``scale`` leaves zero values as they are,
-and ``scale(1, a)`` is ``a`` itself.
+and ``scale(1, a)`` is ``a`` itself.  ``shifted_pos``, the clip
+``(x + lam*u)+ - max(lam, 0)*u`` that the unitization's positive part takes
+for a meet with a unit ``u``, goes through ``_zip`` in the same way: it gives
+back ``x``'s own value or the module zero where the clip does not bind.
 """
 
 from __future__ import annotations
@@ -465,12 +468,23 @@ def shifted_pos(x: Element, lam: Fraction, u: Element) -> Element:
     value is built only where the clip binds, and where ``u`` is 1 the clip
     for ``lam > 0`` is ``-lam`` itself.  In the sparse merge an index in
     ``x``'s support only gives ``pos(v)``, and an index in ``u``'s support only
-    gives 0, for either sign of ``lam``.  The lex order is not componentwise,
-    so the lex plane goes through ``join`` and ``pos``.
+    gives 0, for either sign of ``lam``.  The lex order is total rather than
+    componentwise, so on the lex plane the sign of ``x`` decides: for
+    ``lam > 0`` a positive ``x`` is its own result, and for ``lam < 0`` a
+    negative one gives 0.
     """
     if isinstance(x.space, LexPlane):
         _same_space(x, u)
-        return join(x, scale(-lam, u)) if lam.numerator > 0 else pos(sub(x, scale(-lam, u)))
+        sign = _lex_sign(x.payload)
+        if lam.numerator > 0:
+            if sign >= 0:
+                return x
+            lower = scale(-lam, u)
+            return x if _lex_leq(lower.payload, x.payload) else lower
+        if sign <= 0:
+            return zero(x.space)
+        d = sub(x, scale(-lam, u))
+        return d if _lex_sign(d.payload) >= 0 else zero(x.space)
     ln, ld = lam.numerator, lam.denominator
     if ln > 0:
         nln = -ln

@@ -11,7 +11,7 @@ and a negative term, so ``|x + lam| = |x| - 2T + |lam|`` and the half-sum
 ``R`` in one pass for the catalog kinds: ``x v (-lam u)`` for ``lam > 0`` and
 ``(x - |lam| u)+`` for ``lam < 0`` for the meet truncations (``u = 1`` for
 ``meet_with_one``), and ``x`` or 0 for the identity.  Everything else derives
-from the positive part: ``|a| = a+ + a-`` with ``a- = (-a)+``,
+from the positive part: ``|a| = a+ + a-`` with ``a- = (-a)+ = a+ - a``,
 ``a v b = b + (a - b)+`` and ``a ^ b = a - (a - b)+``: exact rational algebra
 on the half-sums ``(a + b +- |a - b|) / 2``, so the rules hold for any
 deterministic truncation map.  The tests cross-check them against the
@@ -189,8 +189,9 @@ def neg_u(ctx: UnitizationCtx, a: UnitizedElement) -> UnitizedElement:
 
 
 def abs_u(ctx: UnitizationCtx, a: UnitizedElement) -> UnitizedElement:
-    """``|a| = a+ + a-``."""
-    return pos_u(ctx, a) + neg_u(ctx, a)
+    """``|a| = a+ + a-``, with ``a- = (-a)+`` taken as ``a+ - a``, so one positive part serves both."""
+    p = pos_u(ctx, a)
+    return p + (p - a)
 
 
 def join_u(ctx: UnitizationCtx, a: UnitizedElement, b: UnitizedElement) -> UnitizedElement:
