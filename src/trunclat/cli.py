@@ -124,6 +124,7 @@ def _run_assertion_file(path: str, cli_lat: Lattice, seed: int, trials: int) -> 
     for lineno, assertion in loaded.assertions:
         law_id = f"assert:{lineno:03d}"
         gen = SampleGen(derive_seed(seed, law_id), lat.space)
+        # the row reports its own stream seed, as every registered law does, so it replays alone
         names = sorted(free_variables(assertion.lhs) | free_variables(assertion.rhs))
         witness = None
         for _ in range(trials):
@@ -136,9 +137,9 @@ def _run_assertion_file(path: str, cli_lat: Lattice, seed: int, trials: int) -> 
                 witness = {name: lat.to_json(v) for name, v in env.items()}
                 break
         if witness is None:
-            reports.append(LawReport.passed(law_id, trials, seed))
+            reports.append(LawReport.passed(law_id, trials, gen.seed))
         else:
-            reports.append(LawReport.refuted(law_id, trials, seed, witness))
+            reports.append(LawReport.refuted(law_id, trials, gen.seed, witness))
     return reports
 
 

@@ -8,6 +8,7 @@ import pytest
 from trunclat.cli import _parse_space, _parse_trunc, main
 from trunclat.dsl import compile_assertion
 from trunclat.engine import catalog
+from trunclat.sampling import SampleGen
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -145,6 +146,29 @@ def test_check_assertions_file(tmp_path, capsys):
     assert run_cli("check", "--space", "sparse_seq", "--trials", "20",
                    "--assertions", str(bad)) == 1
     assert "REFUTED" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("unitize", [False, True])
+def test_assertion_row_replays_from_its_own_seed(tmp_path, capsys, unitize):
+    """A refuting ``assert:NNN`` row's witness is re-drawn from the ``seed`` in that row alone."""
+    space = "sparse_seq"
+    law = tmp_path / "bad.law"
+    header = '{"space": {"space": "sparse_seq"}, "trunc": {"kind": "meet_with_one"}, "unitize": %s}'
+    law.write_text(f"ctx: {header % str(unitize).lower()}\nx <= x\nx <= x /\\ y\n")
+    assert run_cli("check", "--space", space, "--trials", "50", "--seed", "42", "--format", "json",
+                   "--assertions", str(law)) == 1
+    row = next(json.loads(line) for line in capsys.readouterr().out.splitlines() if '"assert:003"' in line)
+    assert row["verdict"] == "refuted" and row["seed"] != 42
+    ctx = catalog()[space]
+    lat = ctx if unitize else ctx.trunc
+    gen = SampleGen(row["seed"], ctx.space)
+    for _ in range(row["trials"]):
+        env = {name: (gen.unitized() if unitize else gen.element()) for name in ("x", "y")}
+        if {name: lat.to_json(v) for name, v in env.items()} == row["witness"]:
+            break
+    else:
+        pytest.fail("the witness is not in the stream of the reported seed")
+    assert not lat.leq(env["x"], lat.meet(env["x"], env["y"]))
 
 
 def test_check_assertions_file_with_header(tmp_path, capsys):
