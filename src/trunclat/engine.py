@@ -714,7 +714,9 @@ def decision_report(
 
     A symbolic refutation is replayed first: ``replays(lat, *decision.witness)``
     re-checks its witness, and ``verified`` names what that replay verified.
-    A bounded decision reports its search bound as its trial count.
+    A witness that does not replay refutes nothing, so that report is
+    inconclusive.  A bounded decision reports its search bound as its trial
+    count.
     """
     bound = decision.bound
     if decision.holds is None:
@@ -722,13 +724,13 @@ def decision_report(
         return LawReport.inconclusive(law_id, bound, seed, bound=bound, detail=detail)
     if decision.holds:
         return LawReport.passed(law_id, 0, seed, detail=f"symbolic: {decision.reason}")
-    witness = {name: lat.to_json(w) for name, w in zip(("x", "y"), decision.witness)}
     if bound:
         detail = f"fixed through n<={bound}"
     elif replays(lat, *decision.witness):
         detail = f"symbolic, {verified} to n=64: {decision.reason}"
     else:
-        detail = "symbolic witness failed re-check"
+        return LawReport.inconclusive(law_id, 0, seed, bound=0, detail="symbolic witness failed re-check")
+    witness = {name: lat.to_json(w) for name, w in zip(("x", "y"), decision.witness)}
     return LawReport.refuted(law_id, bound, seed, witness, detail=detail)
 
 

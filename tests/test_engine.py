@@ -139,10 +139,10 @@ def test_decision_report_replays_a_symbolic_refutation():
 
 def test_decision_report_flags_a_witness_that_does_not_replay():
     trunc = CATALOG["sparse_seq"].trunc
-    # 2*x <= x fails for x = e1, so the claimed refutation does not replay
+    # 2*x <= x fails for x = e1, so the claimed refutation does not replay and refutes nothing
     claimed = Decision(False, "claimed", (sparse({1: 1}), sparse({1: 1})))
     report = decision_report("archimedean.space", trunc, claimed, multiples_below, 7)
-    assert report.verdict == "refuted"
+    assert (report.verdict, report.trials, report.bound, report.witness) == ("inconclusive", 0, 0, None)
     assert report.detail == "symbolic witness failed re-check"
 
 
