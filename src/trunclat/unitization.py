@@ -45,6 +45,8 @@ from .spaces import (
     IdentityLine,
     Space,
     SparseSeq,
+    _diff,
+    _sum,
     element_from_json,
     element_to_json,
     line,
@@ -67,11 +69,12 @@ class UnitizedElement:
     e: Element
     lam: Rational
 
+    # the scalar part takes the base kernel's zero-operand shortcuts: no new Fraction for lam = 0
     def __add__(self, other: "UnitizedElement") -> "UnitizedElement":
-        return UnitizedElement(self.e + other.e, self.lam + other.lam)
+        return UnitizedElement(self.e + other.e, _sum(self.lam, other.lam))
 
     def __sub__(self, other: "UnitizedElement") -> "UnitizedElement":
-        return UnitizedElement(self.e - other.e, self.lam - other.lam)
+        return UnitizedElement(self.e - other.e, _diff(self.lam, other.lam))
 
     def __neg__(self) -> "UnitizedElement":
         return UnitizedElement(-self.e, -self.lam)
