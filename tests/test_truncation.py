@@ -167,7 +167,7 @@ def scaled_cases(draw):
 
 @settings(max_examples=800, derandomize=True, deadline=None)
 @given(scaled_cases())
-def test_truncate_scaled_is_the_rescaled_truncation(case):
+def test_pos_base_is_pos_minus_the_rescaled_truncation(case):
     """The per-kind cut ``c tr(p / c)`` is the rescaled truncation, and ``pos_base`` is ``pos(x)`` minus it."""
     t, x, lam = case
     c, p = abs(lam), neg(x) if lam > 0 else pos(x)
@@ -177,7 +177,7 @@ def test_truncate_scaled_is_the_rescaled_truncation(case):
 
 
 @pytest.mark.parametrize("t", SCALED_SPECS, ids=lambda t: f"{type(t.space).__name__}-{type(t.kind).__name__}")
-def test_truncate_scaled_rejects_bad_input(t):
+def test_pos_base_rejects_bad_input(t):
     """``pos_base`` takes any sign but no element of another space, and no ``lam = 0``, where ``c tr(p / c)`` has no ``c``."""
     if isinstance(t.space, FinitePointwise):
         x = fp_const(t.space.dim, -1)
