@@ -3,7 +3,9 @@
 Three subcommands: ``check`` runs the law suite (plus optional assertion
 files) for one space/truncation configuration and emits JSON lines or a
 table; ``eval`` parses and evaluates one expression against JSON bindings;
-``repro`` replays the named scripted demonstrations with pinned seeds.
+``repro`` replays the named scripted demonstrations with pinned seeds.  A
+demonstration decides nothing itself: a :class:`PinnedRun` is a run of
+registered laws, and the others print reports of engine routines.
 
 Exit codes: 0 on success (counterexamples predicted by the theory are
 reported but do not fail the run), 1 on an unexpected refutation, 2 on a
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .dsl import (
@@ -26,42 +29,23 @@ from .dsl import (
     parse,
 )
 from .engine import (
-    archimedean_check,
     catalog,
     cataloged_truncation,
-    check_thm33_sup,
     default_certified_fixtures,
     default_limit_candidates,
     derive_seed,
     expected_violations,
-    multiples_below,
-    multiples_fixed,
     repro_c00_ruc,
     repro_example43,
     run_law,
     run_suite,
 )
 from .errors import DslError, TrunclatError
-from .report import REFUTED, LawReport, render_table, reports_to_jsonl
+from .report import PASS, REFUTED, LawReport, render_table, reports_to_jsonl
 from .sampling import SampleGen
-from .spaces import (
-    FinitePointwise,
-    SparseSeq,
-    element_from_json,
-    element_to_json,
-    space_from_json,
-    sparse,
-)
-from .truncation import check_tau3, truncate, truncation_from_json
-from .unitization import (
-    UnitizationCtx,
-    leq_u,
-    meet_u,
-    truncate_u,
-    unitize,
-    unitized_from_json,
-    unitized_to_json,
-)
+from .spaces import FinitePointwise, SparseSeq, element_from_json, space_from_json
+from .truncation import truncation_from_json
+from .unitization import UnitizationCtx, unitize, unitized_from_json
 
 DEFAULT_SEED = 42
 DEFAULT_TRIALS = 200
@@ -201,66 +185,27 @@ def cmd_eval(args) -> int:
 # Scripted reproductions
 # ---------------------------------------------------------------------------
 
-def _run_tau1_tau2(out, ctx: UnitizationCtx, seed: int, where: str) -> bool:
-    """Run the registered tau1 and tau2 laws for 1000 trials each and print their verdicts."""
-    ok = True
-    for law_id in ("tau1", "tau2"):
-        report = run_law(ctx, law_id, seed, 1000)
-        out(f"{law_id} on {where}: {report.verdict} ({report.trials} trials)")
-        ok &= report.ok
-    return ok
+@dataclass(frozen=True)
+class PinnedRun:
+    """A demonstration that is one run of registered laws on a catalog configuration.
 
+    It prints the ``check --format table`` rows of its laws at its seed and
+    trial count, and reproduces only if every law reaches its verdict.
+    """
 
-def _repro_lex_trunc_archimedean(out) -> bool:
-    ctx = catalog()["lex_plane"]
-    seed = 1001
-    ok = _run_tau1_tau2(out, ctx, seed, "the lex plane")
-    t3 = check_tau3(ctx.trunc, [], bound=100)
-    if t3.holds:
-        out(f"tau3 holds symbolically: {t3.reason}")
-    else:
-        out("tau3: unexpected result")
-        ok = False
-    decision = archimedean_check(ctx.space)
-    if decision.holds:
-        out("space decided Archimedean: unexpected")
-        ok = False
-    else:
-        x, y = decision.witness
-        verified = multiples_below(ctx.trunc, x, y)
-        out(
-            "space is not Archimedean: witness x="
-            + json.dumps(element_to_json(x))
-            + ", y="
-            + json.dumps(element_to_json(y))
-            + f", 0 <= n*x <= y verified for n <= 64: {verified}"
-        )
-        ok &= verified
-    return ok
+    config: str
+    seed: int
+    trials: int
+    verdicts: dict[str, str]  # law id -> the verdict the demonstration expects
 
+    def reports(self, ctx: UnitizationCtx) -> list[LawReport]:
+        return [run_law(ctx, law_id, self.seed, self.trials) for law_id in sorted(self.verdicts)]
 
-def _repro_identity_trunc_tau3(out) -> bool:
-    ctx = catalog()["identity_line"]
-    seed = 1002
-    ok = _run_tau1_tau2(out, ctx, seed, "the identity-truncated axis")
-    # with no samples, a refutation from check_tau3 is symbolic
-    t3 = check_tau3(ctx.trunc, [], bound=100)
-    if t3.holds is False:
-        (w,) = t3.witness
-        verified = multiples_fixed(ctx.trunc, w)
-        out(
-            "tau3 fails symbolically: witness x="
-            + json.dumps(element_to_json(w))
-            + f", tr(n*x) = n*x verified for n <= 64: {verified}"
-        )
-        ok &= verified
-    else:
-        out("tau3: unexpected result")
-        ok = False
-    decision = archimedean_check(ctx.space)
-    out(f"the axis itself is Archimedean: {decision.holds}")
-    ok &= decision.holds
-    return ok
+    def __call__(self, out) -> bool:
+        ctx = catalog()[self.config]
+        reports = self.reports(ctx)
+        out(render_table(reports, expected_violations(ctx)).rstrip("\n"))
+        return all(r.verdict == self.verdicts[r.law_id] for r in reports)
 
 
 def _repro_c00_ruc(out) -> bool:
@@ -282,50 +227,6 @@ def _repro_unitization_not_ruc(out) -> bool:
     return report.verdict == "pass"
 
 
-def _repro_thm33_sup(out) -> bool:
-    ctx = catalog()["sparse_seq"]
-    seed = 1005
-    ok = True
-
-    x = ctx.one
-    y = sparse({1: 1})
-    z = ctx.scalar(Fraction(1, 2))
-    ty = truncate(ctx.trunc, y)
-    escaped = not leq_u(ctx, ctx.embed(ty), z)
-    out(
-        "below the unit: tr({1:1}) = "
-        + json.dumps(element_to_json(ty))
-        + " escapes the strictly smaller candidate (0,1/2): "
-        + str(escaped)
-    )
-    ok &= escaped
-    gen = SampleGen(derive_seed(seed, "thm33"), ctx.space)
-    ys = [meet_u(ctx, ctx.embed(gen.positive()), x).e for _ in range(50)] + [y]
-    report = check_thm33_sup(ctx, x, ys, [z], seed)
-    out(f"supremum characterization at x = 1: {report.verdict} ({report.detail})")
-    ok &= report.verdict == "pass"
-
-    x2 = ctx.embed(sparse({1: 3}))
-    xbar = truncate_u(ctx, x2)
-    attained = xbar == ctx.embed(truncate(ctx.trunc, sparse({1: 3})))
-    out(
-        "attainment at x = {1:3}: tr(x) = "
-        + json.dumps(unitized_to_json(xbar))
-        + f" equals the truncation of the base element: {attained}"
-    )
-    ok &= attained
-    ys2 = [meet_u(ctx, ctx.embed(gen.positive()), x2).e for _ in range(50)]
-    zs2 = []
-    for _ in range(10):
-        z2 = meet_u(ctx, gen.unitized(), xbar)
-        if z2 != xbar:
-            zs2.append(z2)
-    report2 = check_thm33_sup(ctx, x2, ys2, zs2, seed)
-    out(f"supremum characterization at x = {{1:3}}: {report2.verdict} ({report2.detail})")
-    ok &= report2.verdict == "pass"
-    return ok
-
-
 def _repro_band_decomposition(out) -> bool:
     seed, total = 1006, 500
     # each band law halves its trials: 125 components on each dimension 1..4, and 500 projections
@@ -339,11 +240,18 @@ def _repro_band_decomposition(out) -> bool:
 
 
 _REPROS = {
-    "lex-trunc-archimedean": _repro_lex_trunc_archimedean,
-    "identity-trunc-tau3": _repro_identity_trunc_tau3,
+    # a truncation with the multiples axiom on a base that is not Archimedean
+    "lex-trunc-archimedean": PinnedRun(
+        "lex_plane", 1001, 1000, {"archimedean.space": REFUTED, "tau1": PASS, "tau2": PASS, "tau3": PASS}
+    ),
+    # an Archimedean base whose identity truncation fails the multiples axiom
+    "identity-trunc-tau3": PinnedRun(
+        "identity_line", 1002, 1000, {"archimedean.space": PASS, "tau1": PASS, "tau2": PASS, "tau3": REFUTED}
+    ),
     "c00-ruc": _repro_c00_ruc,
     "unitization-not-ruc": _repro_unitization_not_ruc,
-    "thm33-sup": _repro_thm33_sup,
+    # 10 trials of the supremum form over a non-unital base, the first at x = 1
+    "thm33-sup": PinnedRun("sparse_seq", 1005, 200, {"thm33.sup": PASS}),
     "band-decomposition": _repro_band_decomposition,
 }
 

@@ -5,9 +5,9 @@ import sys
 
 import pytest
 
-from trunclat.cli import _parse_space, _parse_trunc, main
+from trunclat.cli import _REPROS, PinnedRun, _parse_space, _parse_trunc, main
 from trunclat.dsl import compile_assertion
-from trunclat.engine import catalog
+from trunclat.engine import catalog, run_suite
 from trunclat.sampling import SampleGen
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -286,6 +286,33 @@ def test_repro_unknown_id(capsys):
 def test_repro_ids(repro_id, capsys):
     assert run_cli("repro", repro_id) == 0
     assert capsys.readouterr().out.strip().endswith(f"REPRODUCED: {repro_id}")
+
+
+PINNED_RUNS = {rid: run for rid, run in _REPROS.items() if isinstance(run, PinnedRun)}
+
+
+def test_three_repros_are_pinned_runs():
+    assert sorted(PINNED_RUNS) == ["identity-trunc-tau3", "lex-trunc-archimedean", "thm33-sup"]
+
+
+@pytest.mark.parametrize("repro_id", sorted(PINNED_RUNS))
+def test_pinned_run_reports_are_check_rows(repro_id):
+    # every row a pinned repro prints is the row `check` prints at the same seed and trial count
+    run = PINNED_RUNS[repro_id]
+    ctx = catalog()[run.config]
+    suite = {r.law_id: r for r in run_suite(ctx.space, ctx.trunc, run.seed, run.trials)}
+    reports = run.reports(ctx)
+    assert reports == [suite[law_id] for law_id in sorted(run.verdicts)]
+    assert {r.law_id: r.verdict for r in reports} == run.verdicts
+
+
+def test_pinned_repro_fails_on_a_witness_that_does_not_replay(monkeypatch, capsys):
+    # the lex witness no longer replays, so archimedean.space refutes nothing and the demonstration fails
+    monkeypatch.setattr("trunclat.engine.multiples_below", lambda *args, **kwargs: False)
+    assert run_cli("repro", "lex-trunc-archimedean") == 1
+    out = capsys.readouterr().out
+    assert "archimedean.space  INCONCLUSIVE" in out
+    assert out.strip().endswith("FAILED: lex-trunc-archimedean")
 
 
 def test_seed_env_variable_is_ignored(tmp_path, monkeypatch):

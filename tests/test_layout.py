@@ -7,7 +7,9 @@ function reaches the dense and scalar layouts through a walker.  In
 ``sampling.py`` one ``match`` on the space draws every element.  No module
 reads the private internals of ``Fraction`` (``_numerator``,
 ``_denominator``, ``_normalize``, ``_from_coprime_ints``): they belong to one
-CPython version, and ``_normalize`` is gone in 3.12.  The rules are checked
+CPython version, and ``_normalize`` is gone in 3.12.  ``cli.py`` imports no
+decider, witness replay or law check of the engine: a scripted demonstration
+runs registered laws, it does not copy their bodies.  The rules are checked
 on the source with the standard ``ast`` module.
 """
 
@@ -30,6 +32,19 @@ LAYOUT_READERS = frozenset({
 
 
 FRACTION_PRIVATES = frozenset({"_numerator", "_denominator", "_normalize", "_from_coprime_ints"})
+
+# what a registered law decides, replays or checks; a front end that imports one holds a second copy
+LAW_BODY_NAMES = frozenset({
+    "check_tau3",
+    "archimedean_check",
+    "unitization_archimedean",
+    "multiples_below",
+    "multiples_fixed",
+    "decision_report",
+    "check_thm33_sup",
+    "check_remark34",
+    "check_lemma54",
+})
 
 
 def _parse(module: str) -> ast.Module:
@@ -77,6 +92,35 @@ def fraction_internals(tree: ast.AST) -> list[str]:
         elif isinstance(node, ast.keyword) and node.arg in FRACTION_PRIVATES:
             found.append((node.value.lineno, node.arg))
     return [f"{name}:{line}" for line, name in sorted(found)]
+
+
+def law_body_imports(tree: ast.AST) -> list[str]:
+    """``name:line`` for each import of a name in ``LAW_BODY_NAMES``."""
+    return [
+        f"{alias.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if alias.name.split(".")[-1] in LAW_BODY_NAMES
+    ]
+
+
+def test_cli_imports_no_law_body():
+    found = law_body_imports(_parse("cli.py"))
+    assert not found, f"cli.py imports what a registered law already runs: {', '.join(found)}"
+
+
+def test_detects_law_body_imports():
+    tree = ast.parse(
+        "from .engine import (\n"
+        "    catalog,\n"
+        "    multiples_below,\n"
+        ")\n"
+        "from .truncation import check_tau3 as decide, truncation_from_json\n"
+        "import trunclat.engine.decision_report\n"
+        "check_lemma54 = None\n"
+    )
+    assert law_body_imports(tree) == ["multiples_below:1", "check_tau3:5", "trunclat.engine.decision_report:6"]
 
 
 def test_no_module_reads_fraction_internals():
