@@ -37,6 +37,7 @@ from .spaces import (
     LexPlane,
     Space,
     SparseSeq,
+    _ZERO,
     coeff,
     decompose_chain,
     check_chain_sup_additivity,
@@ -87,7 +88,6 @@ from .unitization import (
 )
 
 _MASK64 = (1 << 64) - 1
-_ZERO = Fraction(0)
 
 
 def derive_seed(seed: int, law_id: str) -> int:

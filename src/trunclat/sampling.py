@@ -13,6 +13,16 @@ and a sparse sample has at most ``MAX_SUPPORT`` indices, each at most
 below ``b - a + 1`` and adds ``a`` (CPython 3.10 to 3.13), and ``rational``
 makes those same ``getrandbits`` calls directly.  The value is read from a
 table of every ``Fraction(num, den)`` it can return, built once at import.
+
+An element is drawn the same way, a whole payload in one local loop over
+``getrandbits`` (:func:`_dense_values`, :func:`_sparse_payload`), with the
+calls and values of one ``rational`` per value.  A sparse support replays
+``Random.sample(range(1, MAX_INDEX + 1), k)`` after ``k = randint(0,
+MAX_SUPPORT)``: for a population of at most 21 and ``k <= 5``, ``sample``
+takes its pool path, which picks ``pool[j]`` with ``j`` below ``n - i`` at
+step ``i`` and moves the last unpicked value ``pool[n - i - 1]`` into the
+gap (CPython 3.10 to 3.13); ``MAX_INDEX`` is 16 and ``MAX_SUPPORT`` is 4.
+:meth:`SampleGen.index_subset` keeps calling ``Random.sample``.
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ from .spaces import (
     LexPlane,
     Space,
     SparseSeq,
+    _ZERO,
     add,
     meet,
 )
@@ -41,6 +52,10 @@ MAX_SUPPORT = 4
 _M = MAX_MAGNITUDE
 # _FRACTIONS[(num + M) * M + den - 1] == Fraction(num, den) for |num| <= M, 1 <= den <= M
 _FRACTIONS = tuple(Fraction(num, den) for num in range(-_M, _M + 1) for den in range(1, _M + 1))
+# bit widths of the draws below _M, 2 * _M + 1 and MAX_SUPPORT + 1
+_K_M = _M.bit_length()
+_K_SIGNED = (2 * _M + 1).bit_length()
+_K_SUPPORT = (MAX_SUPPORT + 1).bit_length()
 
 
 def _below(bits, n: int) -> int:
@@ -51,6 +66,58 @@ def _below(bits, n: int) -> int:
     while r >= n:
         r = bits(k)
     return r
+
+
+def _dense_values(bits, n: int, nonneg: bool) -> tuple:
+    """``n`` values of ``rational(nonneg=nonneg)``, in order, from one loop."""
+    span, k, offset = (_M + 1, _K_M, _M) if nonneg else (2 * _M + 1, _K_SIGNED, 0)
+    out = []
+    for _ in range(n):
+        den = bits(_K_M)
+        while den >= _M:
+            den = bits(_K_M)
+        num = bits(k)
+        while num >= span:
+            num = bits(k)
+        out.append(_FRACTIONS[(num + offset) * _M + den])
+    return tuple(out)
+
+
+def _sparse_payload(bits, nonneg: bool) -> tuple:
+    """A sparse payload: ``k = randint(0, MAX_SUPPORT)``, the sorted indices of
+    ``sample(range(1, MAX_INDEX + 1), k)`` and ``rational(nonneg=nonneg,
+    nonzero=True)`` at each index, in order."""
+    k = bits(_K_SUPPORT)
+    while k > MAX_SUPPORT:
+        k = bits(_K_SUPPORT)
+    pool = list(range(1, MAX_INDEX + 1))
+    indices = []
+    for n in range(MAX_INDEX, MAX_INDEX - k, -1):
+        width = n.bit_length()
+        j = bits(width)
+        while j >= n:
+            j = bits(width)
+        indices.append(pool[j])
+        pool[j] = pool[n - 1]
+    indices.sort()
+    out = []
+    for index in indices:
+        den = bits(_K_M)
+        while den >= _M:
+            den = bits(_K_M)
+        num = bits(_K_M)
+        while num >= _M:
+            num = bits(_K_M)
+        num += 1
+        if not nonneg:
+            sign = bits(2)
+            while sign >= 2:
+                sign = bits(2)
+            if sign:
+                num = -num
+        # sorted, unique, >= 1 and nonzero: already a sparse payload
+        out.append((index, _FRACTIONS[(num + _M) * _M + den]))
+    return tuple(out)
 
 
 class SampleGen:
@@ -85,19 +152,16 @@ class SampleGen:
         return _FRACTIONS[(num + _M) * _M + den]
 
     def _draw(self, nonneg: bool) -> Element:
+        bits = self._rng.getrandbits
         match self.space:
             case FinitePointwise(dim):
-                return Element(self.space, tuple(self.rational(nonneg=nonneg) for _ in range(dim)))
+                return Element(self.space, _dense_values(bits, dim, nonneg))
             case SparseSeq():
-                k = self._rng.randint(0, MAX_SUPPORT)
-                indices = sorted(self._rng.sample(range(1, MAX_INDEX + 1), k))
-                # sorted, unique, >= 1 and nonzero: already a sparse payload
-                payload = tuple((i, self.rational(nonneg=nonneg, nonzero=True)) for i in indices)
-                return Element(self.space, payload)
+                return Element(self.space, _sparse_payload(bits, nonneg))
             case LexPlane():
-                return Element(self.space, (self.rational(nonneg=nonneg), self.rational(nonneg=nonneg)))
+                return Element(self.space, _dense_values(bits, 2, nonneg))
             case IdentityLine():
-                return Element(self.space, self.rational(nonneg=nonneg))
+                return Element(self.space, _dense_values(bits, 1, nonneg)[0])
 
     def element(self) -> Element:
         return self._draw(nonneg=False)
@@ -107,7 +171,7 @@ class SampleGen:
             # any pair with positive first coordinate is positive; mix in
             # second-axis-only positives, which the lex order treats specially
             if self._rng.randint(0, 3) == 0:
-                return Element(self.space, (Fraction(0), self.rational(nonneg=True)))
+                return Element(self.space, (_ZERO, self.rational(nonneg=True)))
             return Element(self.space, (self.rational(nonneg=True, nonzero=True), self.rational()))
         return self._draw(nonneg=True)
 

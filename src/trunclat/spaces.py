@@ -38,7 +38,12 @@ that ``_map`` never makes.
 The linear operations build no ``Fraction`` whose value is known without
 arithmetic: ``add`` and ``sub`` give back the other operand (negated for
 ``0 - y``) when one value is zero, ``scale`` leaves zero values as they are,
-and ``scale(1, a)`` is ``a`` itself.  ``shifted_pos``, the clip
+and ``scale(1, a)`` is ``a`` itself.  Any other sum or difference is one
+constructor call, ``Fraction(xn*yd + yn*xd, xd*yd)`` or its ``-``, on the
+numerators and denominators already read for those tests; the constructor
+reduces it to the terms ``x + y`` would have, without the operator's dispatch
+and second read of both operands.  The unitization's scalar part uses the
+same two helpers.  ``shifted_pos``, the clip
 ``(x + lam*u)+ - max(lam, 0)*u`` that the unitization's positive part takes
 for a meet with a unit ``u``, goes through ``_zip`` in the same way: it gives
 back ``x``'s own value or the module zero where the clip does not bind.
@@ -331,23 +336,30 @@ def _min(x: Fraction, y: Fraction) -> Fraction:
 
 
 def _sum(x: Fraction, y: Fraction) -> Fraction:
-    # a zero operand gives the other value back without building a Fraction
-    if not y.numerator:
+    # a zero operand gives the other value back without building a Fraction;
+    # otherwise one constructor call on the integers already read
+    yn = y.numerator
+    if not yn:
         return x
-    if not x.numerator:
+    xn = x.numerator
+    if not xn:
         return y
-    return x + y
+    xd, yd = x.denominator, y.denominator
+    return Fraction(xn * yd + yn * xd, xd * yd)
 
 
 def _diff(x: Fraction, y: Fraction) -> Fraction:
     # a zero operand, or equal values, need no subtraction
-    if not y.numerator:
+    yn = y.numerator
+    if not yn:
         return x
-    if not x.numerator:
+    xn = x.numerator
+    if not xn:
         return -y
-    if x.numerator == y.numerator and x.denominator == y.denominator:
+    xd, yd = x.denominator, y.denominator
+    if xn == yn and xd == yd:
         return _ZERO
-    return x - y
+    return Fraction(xn * yd - yn * xd, xd * yd)
 
 
 def _sparse_leq(pa, pb) -> bool:

@@ -257,9 +257,23 @@ def pos_base(t: TruncationSpec, x: Element, lam) -> Element:
 
 
 def in_fixed_set(t: TruncationSpec, x: Element) -> bool:
-    """Fixed-set membership: ``tr(|x|) = |x|`` (defined for arbitrary sign)."""
+    """Fixed-set membership: ``tr(|x|) = |x|`` (defined for arbitrary sign).
+
+    Each catalog kind decides it in closed form.  For ``MeetWithUnit(u)`` it
+    is ``|x| <= u``, since ``a ^ u = a`` exactly when ``a <= u`` in any
+    lattice, the lexicographic plane included; for ``MeetWithOne`` it is
+    ``|v| <= 1`` at each support value; the identity fixes every element.  A
+    fixture truncation keeps the definition.
+    """
     if x.space is not t.space and x.space != t.space:
         raise SpaceMismatch("element does not live on the truncation's space")
+    match t.kind:
+        case MeetWithUnit(unit=u):
+            return leq(abs(x), u)
+        case MeetWithOne():
+            return all(abs(v.numerator) <= v.denominator for _, v in x.payload)
+        case IdentityTruncation():
+            return True
     a = abs(x)
     return truncate(t, a) == a
 

@@ -45,6 +45,7 @@ from .spaces import (
     IdentityLine,
     Space,
     SparseSeq,
+    _ZERO,
     _diff,
     _sum,
     element_from_json,
@@ -58,8 +59,6 @@ from .spaces import (
 )
 from .truncation import TruncationSpec, in_fixed_set, pos_base
 from .report import LawReport
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)

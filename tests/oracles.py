@@ -28,17 +28,20 @@ The module also keeps these references:
 * the unitization's order structure as first written: the absolute value with
   the two-scale join argument ``(1/lam) neg(x) v (-1/lam) pos(x)``, joins and
   meets as the half-sums ``(a + b +- |a - b|) / 2``, and the cone test through
-  ``in_fixed_set``, against which the positive-part forms of
+  the base fixed set, against which the positive-part forms of
   ``trunclat.unitization`` are checked, and fixed-set membership as
   ``truncate_u(|a|) == |a|``, against which the order form ``|a| <= 1`` of
   ``in_fixed_u`` is checked;
+* base fixed-set membership by its definition ``tr(|x|) == |x|``, against
+  which the closed forms of ``in_fixed_set`` are checked;
 * the cut ``c tr(p / c)`` per truncation kind as first written: ``p ^ c*u``
   for a meet with ``u``, ``min(v, c)`` for ``meet_with_one``, ``p`` for the
   identity and the definition for a fixture, against which the one-pass base
   part ``pos(x) - c tr(p / c)`` of ``trunclat.truncation.pos_base`` is checked;
-* the sampler's rational draw as first written, through ``Random.randint``,
-  against which the ``getrandbits`` replay of ``SampleGen.rational`` is
-  checked, value by value and stream position by stream position;
+* the sampler's rational and element draws as first written, through
+  ``Random.randint`` and ``Random.sample``, against which the ``getrandbits``
+  replays of ``SampleGen.rational`` and ``SampleGen._draw`` are checked, value
+  by value and stream position by stream position;
 * the DSL's tree-walking evaluator, which re-matches every node on every
   call, against which the compile-once evaluator of ``trunclat.dsl`` is
   checked, values and errors alike.
@@ -67,7 +70,6 @@ from trunclat import (
     abs_u,
     coeff,
     fp,
-    in_fixed_set,
     join,
     leq,
     leq_u,
@@ -83,7 +85,7 @@ from trunclat import (
     zero,
 )
 from trunclat.dsl import Abs, Add, Join, Meet, Neg, One, Pos, RationalLit, Scale, Sub, Trunc, Var
-from trunclat.sampling import MAX_MAGNITUDE
+from trunclat.sampling import MAX_INDEX, MAX_MAGNITUDE, MAX_SUPPORT
 
 
 def _indices(*ues):
@@ -282,7 +284,13 @@ def ref_is_positive_u(ctx, a: UnitizedElement) -> bool:
         return False
     if a.lam == 0:
         return leq(zero(ctx.space), a.e)
-    return in_fixed_set(ctx.trunc, scale(1 / a.lam, neg(a.e)))
+    return ref_in_fixed_set(ctx.trunc, scale(1 / a.lam, neg(a.e)))
+
+
+def ref_in_fixed_set(t, x: Element) -> bool:
+    """Base fixed-set membership by its definition: ``tr(|x|) == |x|``."""
+    a = abs(x)
+    return truncate(t, a) == a
 
 
 def ref_in_fixed_u(ctx, a: UnitizedElement) -> bool:
@@ -291,7 +299,7 @@ def ref_in_fixed_u(ctx, a: UnitizedElement) -> bool:
     return truncate_u(ctx, b) == b
 
 
-def ref_truncate_scaled(t, p: Element, c: Fraction) -> Element:
+def ref_rescaled_cut(t, p: Element, c: Fraction) -> Element:
     """``c * tr(p / c)`` for ``p >= 0`` and ``c > 0``, per truncation kind."""
     match t.kind:
         case MeetWithUnit(unit=u):
@@ -315,6 +323,18 @@ def ref_rational(rng, *, nonneg: bool = False, nonzero: bool = False) -> Fractio
     else:
         num = rng.randint(0 if nonneg else -MAX_MAGNITUDE, MAX_MAGNITUDE)
     return Fraction(num, den)
+
+
+def ref_draw(rng, space, nonneg: bool):
+    """The payload ``SampleGen._draw`` builds, from ``randint``, ``sample`` and ``ref_rational``."""
+    if isinstance(space, SparseSeq):
+        k = rng.randint(0, MAX_SUPPORT)
+        indices = sorted(rng.sample(range(1, MAX_INDEX + 1), k))
+        return tuple((i, ref_rational(rng, nonneg=nonneg, nonzero=True)) for i in indices)
+    if isinstance(space, IdentityLine):
+        return ref_rational(rng, nonneg=nonneg)
+    n = 2 if isinstance(space, LexPlane) else space.dim
+    return tuple(ref_rational(rng, nonneg=nonneg) for _ in range(n))
 
 
 def ref_eval(term, env, lat):

@@ -1,9 +1,12 @@
 import random
 
 import pytest
-from oracles import ref_rational
+from oracles import ref_draw, ref_rational
 
 from trunclat import (
+    FinitePointwise,
+    IdentityLine,
+    LexPlane,
     SampleGen,
     SparseSeq,
     catalog,
@@ -127,3 +130,48 @@ def test_rational_makes_no_randint_call(monkeypatch):
     for flags in FLAGS:
         for _ in range(50):
             gen.rational(**flags)
+
+
+# -- the element draw replays randint, sample and rational -------------------
+
+DRAW_SPACES = [FinitePointwise(11), LexPlane(), IdentityLine(), SparseSeq()]
+
+
+@pytest.mark.parametrize("nonneg", [False, True], ids=["signed", "nonneg"])
+@pytest.mark.parametrize("space", DRAW_SPACES, ids=lambda s: type(s).__name__)
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**63 + 5])
+def test_draw_consumes_the_stream_as_randint_and_sample_do(seed, space, nonneg):
+    gen = SampleGen(seed, space)
+    ref = random.Random(gen.seed)
+    for _ in range(300):
+        assert gen._draw(nonneg).payload == ref_draw(ref, space, nonneg)
+    # the same stream position afterwards, not only the same values
+    assert gen._rng.getrandbits(32) == ref.getrandbits(32)
+
+
+def test_draw_interleaves_with_the_other_draws():
+    for space in DRAW_SPACES:
+        gen = SampleGen(91, space)
+        ref = random.Random(gen.seed)
+        for i in range(200):
+            nonneg = bool(i % 2)
+            assert gen._draw(nonneg).payload == ref_draw(ref, space, nonneg)
+            assert gen.rational(**FLAGS[i % 4]) == ref_rational(ref, **FLAGS[i % 4])
+            assert gen.randint(0, 3) == ref.randint(0, 3)
+        assert gen._rng.getrandbits(32) == ref.getrandbits(32)
+
+
+def test_draw_makes_no_randint_or_sample_call(monkeypatch):
+    def refuse(name):
+        def call(self, *args, **kwargs):
+            raise AssertionError(f"_draw() called Random.{name}")
+
+        return call
+
+    monkeypatch.setattr(random.Random, "randint", refuse("randint"))
+    monkeypatch.setattr(random.Random, "sample", refuse("sample"))
+    for space in DRAW_SPACES:
+        gen = SampleGen(5, space)
+        for _ in range(50):
+            gen._draw(False)
+            gen._draw(True)

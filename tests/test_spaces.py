@@ -365,19 +365,49 @@ def zero_heavy_elements(draw, space):
 
 
 @st.composite
+def reducing_partners(draw, a):
+    """An element whose value at each nonzero value ``v`` of ``a`` makes ``v + w`` or
+    ``v - w`` reduce: an integer, or a fraction whose terms share a factor."""
+
+    def partner(v):
+        k = draw(st.integers(-3, 3))
+        m = draw(st.integers(-9, 9).filter(bool))
+        d = v.denominator
+        return draw(st.sampled_from((k - v, v + k, Fraction(m, d), Fraction(m, 2 * d))))
+
+    if isinstance(a.space, SparseSeq):
+        return sparse({i: partner(v) for i, v in a.payload})
+    if isinstance(a.space, IdentityLine):
+        return line(partner(a.payload) if a.payload else a.payload)
+    return Element(a.space, tuple(partner(v) if v else v for v in a.payload))
+
+
+@st.composite
 def zero_heavy_cases(draw):
     space = draw(st.sampled_from((FinitePointwise(4), SparseSeq(), LexPlane(), IdentityLine())))
     c = draw(st.one_of(st.sampled_from((Fraction(0), Fraction(1), Fraction(-1))), _scalars))
-    return draw(zero_heavy_elements(space)), draw(zero_heavy_elements(space)), c
+    a = draw(zero_heavy_elements(space))
+    return a, draw(st.one_of(zero_heavy_elements(space), reducing_partners(a))), c
+
+
+_BIG_THIRD = Fraction(2**65 + 1, 3)
 
 
 @settings(max_examples=600, derandomize=True, deadline=None)
 @given(zero_heavy_cases())
+# sums and differences that cancel a common factor, give an integer, or pass 2**64
+@example((fp(Fraction(1, 6), Fraction(1, 2), 0, 0), fp(Fraction(1, 3), Fraction(3, 2), 0, 0), Fraction(1)))
+@example((sparse({1: Fraction(5, 6), 3: Fraction(7, 4)}), sparse({1: Fraction(-1, 3), 3: Fraction(3, 4)}), 2))
+@example((lexpair(_BIG_THIRD, 0), lexpair(Fraction(2**65 - 1, 6), 0), Fraction(-1)))
+@example((line(_BIG_THIRD), line(Fraction(-(2**65) - 1, 3)), Fraction(0)))
 def test_linear_kernel_with_zero_operands_matches_fraction_operators(case):
     a, b, c = case
     assert add(a, b) == ref_add(a, b)
     assert sub(a, b) == ref_sub(a, b)
     assert sub(b, a) == ref_sub(b, a)
+    # reduced to the same terms, not only equal in value
+    assert element_to_json(add(a, b)) == element_to_json(ref_add(a, b))
+    assert element_to_json(sub(a, b)) == element_to_json(ref_sub(a, b))
     for x in (a, b):
         assert scale(c, x) == ref_scale(c, x)
         assert scale(1, x) == x

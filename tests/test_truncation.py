@@ -44,7 +44,7 @@ from trunclat import (
     zero,
 )
 
-from oracles import ref_truncate_scaled
+from oracles import ref_rescaled_cut
 
 CATALOG = catalog()
 
@@ -93,7 +93,7 @@ def test_in_fixed_set_examples():
 
 
 def test_in_fixed_set_matches_truncate_pointwise():
-    # the two code paths must coincide by definition, for arbitrary sign
+    # the closed forms must agree with the definition on sampled elements of arbitrary sign
     for name, ctx in CATALOG.items():
         gen = SampleGen(109, ctx.space)
         for _ in range(300):
@@ -171,7 +171,7 @@ def test_pos_base_is_pos_minus_the_rescaled_truncation(case):
     """The per-kind cut ``c tr(p / c)`` is the rescaled truncation, and ``pos_base`` is ``pos(x)`` minus it."""
     t, x, lam = case
     c, p = abs(lam), neg(x) if lam > 0 else pos(x)
-    cut = ref_truncate_scaled(t, p, c)
+    cut = ref_rescaled_cut(t, p, c)
     assert cut == scale(c, truncate(t, scale(1 / c, p)))
     assert pos_base(t, x, lam) == pos(x) - cut
 

@@ -39,6 +39,7 @@ from trunclat import (
     pos_u,
     scale,
     sparse,
+    truncate,
     truncate_u,
     truncation,
     unitize,
@@ -55,6 +56,7 @@ from oracles import (
     o_meet,
     o_positive,
     ref_abs_u,
+    ref_in_fixed_set,
     ref_in_fixed_u,
     ref_is_positive_u,
     ref_join_u,
@@ -337,6 +339,56 @@ def test_thm11_fixedset_examples_and_sampled():
         gen = SampleGen(83, ctx.space)
         report = check_thm11_fixedset(ctx, [gen.element() for _ in range(500)])
         assert report.verdict == "pass"
+
+
+# the catalog, off-catalog and x -> 2x truncations, and the lex unit (1, 0)
+FIXED_SET_SPECS = tuple(ctx.trunc for ctx in ALL_CTX + OFF_CATALOG + DOUBLED) + (
+    truncation(LexPlane(), MeetWithUnit(lexpair(1, 0))),
+)
+
+
+@st.composite
+def fixed_set_cases(draw):
+    """A truncation and an element of any sign, often at the edge of the fixed set."""
+    t = draw(st.sampled_from(FIXED_SET_SPECS))
+    elements = _base_elements(t.space)
+    x = draw(elements)
+    edge = draw(st.integers(0, 4))
+    if edge == 1:  # tr(|x|) is fixed for an honest truncation, and so is its negation
+        x = draw(st.sampled_from((1, -1))) * truncate(t, abs(x))
+    elif edge == 2:  # mixed signs, each within the unit
+        x = truncate(t, abs(x)) - truncate(t, abs(draw(elements)))
+    elif edge == 3 and t.unit is not None:
+        x = draw(st.sampled_from((t.unit, -t.unit, t.unit + abs(x), t.unit - abs(x))))
+    elif edge == 4:  # every value negative: membership must read |x|, not x
+        x = -abs(x)
+    return t, x
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(fixed_set_cases())
+def test_in_fixed_set_matches_the_definition(case):
+    """The closed forms of ``in_fixed_set`` against ``tr(|x|) == |x|``."""
+    t, x = case
+    assert in_fixed_set(t, x) == ref_in_fixed_set(t, x)
+
+
+def test_in_fixed_set_examples_at_the_edges():
+    # meet_with_one bounds |v|, not v
+    assert in_fixed_set(SPARSE.trunc, sparse({1: -1, 3: Fraction(1, 2)}))
+    assert not in_fixed_set(SPARSE.trunc, sparse({1: -2, 3: Fraction(1, 2)}))
+    # u is 0 at index 2 and at coordinates 2 and 4: any nonzero value there leaves the fixed set
+    sparse_unit, fp_unit = (ctx.trunc for ctx in OFF_CATALOG[:2])
+    assert in_fixed_set(sparse_unit, sparse({1: -1, 4: 2, 9: Fraction(-1, 3)}))
+    assert not in_fixed_set(sparse_unit, sparse({2: Fraction(1, 100)}))
+    assert not in_fixed_set(sparse_unit, sparse({9: Fraction(1, 2)}))
+    assert in_fixed_set(fp_unit, fp(-1, 0, Fraction(5, 2), 0))
+    assert not in_fixed_set(fp_unit, fp(0, 0, 0, Fraction(-1, 9)))
+    # the lex order is total: (1, 0) bounds every pair with first coordinate below 1
+    lex_10 = FIXED_SET_SPECS[-1]
+    assert in_fixed_set(lex_10, lexpair(Fraction(1, 2), 100))
+    assert in_fixed_set(lex_10, lexpair(-1, 5))  # |(-1, 5)| = (1, -5)
+    assert not in_fixed_set(lex_10, lexpair(1, Fraction(1, 7)))
 
 
 def test_ideal_absorption_examples():
