@@ -12,7 +12,6 @@ from .errors import (
     DslError,
     EmptySet,
     EvalError,
-    InvalidCertificate,
     NegativeInput,
     NegativeTruncArgument,
     OneOutsideUnitization,
@@ -98,7 +97,6 @@ from .unitization import (
 from .sampling import SampleGen
 from .engine import (
     Band,
-    CertifiedSeq,
     LawContext,  # an alias of UnitizationCtx, kept for perfbench/workloads.py
     UnitizedBand,
     archimedean_check,
@@ -109,7 +107,6 @@ from .engine import (
     check_lemma54,
     check_remark34,
     check_thm33_sup,
-    default_certified_fixtures,
     default_limit_candidates,
     derive_seed,
     eps_start_index,
@@ -117,8 +114,9 @@ from .engine import (
     harmonic_prefix,
     in_unitized_band,
     project_band_unitized,
-    repro_c00_ruc,
     repro_example43,
+    ruc_space,
+    ruc_unitization,
     run_suite,
     uniform_cauchy_prefix,
     unitization_archimedean,

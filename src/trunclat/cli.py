@@ -4,8 +4,8 @@ Three subcommands: ``check`` runs the law suite (plus optional assertion
 files) for one space/truncation configuration and emits JSON lines or a
 table; ``eval`` parses and evaluates one expression against JSON bindings;
 ``repro`` replays the named scripted demonstrations with pinned seeds.  A
-demonstration decides nothing itself: a :class:`PinnedRun` is a run of
-registered laws, and the others print reports of engine routines.
+demonstration decides nothing itself: each one is a :class:`PinnedRun` of
+registered laws on catalog configurations.
 
 Exit codes: 0 on success (counterexamples predicted by the theory are
 reported but do not fail the run), 1 on an unexpected refutation, 2 on a
@@ -18,7 +18,6 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .dsl import (
     Lattice,
@@ -28,18 +27,7 @@ from .dsl import (
     load_assertion_text,
     parse,
 )
-from .engine import (
-    catalog,
-    cataloged_truncation,
-    default_certified_fixtures,
-    default_limit_candidates,
-    derive_seed,
-    expected_violations,
-    repro_c00_ruc,
-    repro_example43,
-    run_law,
-    run_suite,
-)
+from .engine import cataloged_truncation, derive_seed, expected_violations, run_law, run_suite
 from .errors import DslError, TrunclatError
 from .report import PASS, REFUTED, LawReport, render_table, reports_to_jsonl
 from .sampling import SampleGen
@@ -52,6 +40,11 @@ DEFAULT_TRIALS = 200
 
 class CliError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # one ``error:`` line, not argparse's usage block
+        raise CliError(message)
 
 
 def _parse_space(text: str | None):
@@ -185,96 +178,78 @@ def cmd_eval(args) -> int:
 # Scripted reproductions
 # ---------------------------------------------------------------------------
 
+def _config_context(config: str) -> UnitizationCtx:
+    """The ``check --space config`` configuration, with its cataloged truncation."""
+    space = _parse_space(config)
+    return UnitizationCtx(space, cataloged_truncation(space))
+
+
 @dataclass(frozen=True)
 class PinnedRun:
-    """A demonstration that is one run of registered laws on a catalog configuration.
+    """A demonstration that is a run of registered laws on catalog configurations.
 
-    It prints the ``check --format table`` rows of its laws at its seed and
-    trial count, and reproduces only if every law reaches its verdict.
+    Each run is ``(config, law id, trials, verdict)``: the law runs as ``check
+    --space config --seed seed --trials trials`` runs it, and the
+    demonstration reproduces only if every law reaches its verdict.  It prints
+    the ``check --format table`` rows of each such ``check`` in turn, headed
+    by that command line when there is more than one.
     """
 
-    config: str
     seed: int
-    trials: int
-    verdicts: dict[str, str]  # law id -> the verdict the demonstration expects
-
-    def reports(self, ctx: UnitizationCtx) -> list[LawReport]:
-        return [run_law(ctx, law_id, self.seed, self.trials) for law_id in sorted(self.verdicts)]
+    runs: tuple[tuple[str, str, int, str], ...]
 
     def __call__(self, out) -> bool:
-        ctx = catalog()[self.config]
-        reports = self.reports(ctx)
-        out(render_table(reports, expected_violations(ctx)).rstrip("\n"))
-        return all(r.verdict == self.verdicts[r.law_id] for r in reports)
+        checks: dict[tuple[str, int], list[LawReport]] = {}
+        ok = True
+        for config, law_id, trials, verdict in self.runs:
+            report = run_law(_config_context(config), law_id, self.seed, trials)
+            checks.setdefault((config, trials), []).append(report)
+            ok &= report.verdict == verdict
+        for (config, trials), reports in checks.items():
+            if len(checks) > 1:
+                out(f"check --space {config} --seed {self.seed} --trials {trials}")
+            out(render_table(reports, expected_violations(_config_context(config))).rstrip("\n"))
+        return ok
 
 
-def _repro_c00_ruc(out) -> bool:
-    report = repro_c00_ruc(default_certified_fixtures(), seed=1003)
-    out(f"certified limits extracted and re-verified: {report.verdict} ({report.detail})")
-    return report.ok and report.verdict == "pass"
-
-
-def _repro_unitization_not_ruc(out) -> bool:
-    ctx = catalog()["sparse_seq"]
-    report = repro_example43(
-        ctx,
-        [Fraction(1, 10), Fraction(1, 100)],
-        window=50,
-        candidates=default_limit_candidates(),
-        seed=1004,
-    )
-    out(f"uniform-Cauchy windows and candidate refutations: {report.verdict} ({report.detail})")
-    return report.verdict == "pass"
-
-
-def _repro_band_decomposition(out) -> bool:
-    seed, total = 1006, 500
-    # each band law halves its trials: 125 components on each dimension 1..4, and 500 projections
-    components = [run_law(catalog(d)["finite_pointwise"], "band.component", seed, 250) for d in range(1, 5)]
-    projection = run_law(catalog()["finite_pointwise"], "band.project", seed, 2 * total)
-    matched = sum(r.trials for r in components if r.verdict == "pass")
-    good = projection.trials if projection.verdict == "pass" else 0
-    out(f"band components matching the corner-join oracle: {matched}/{total}")
-    out(f"unitized band projections disjoint, summing, and member-checked: {good}/{total}")
-    return matched == total and good == total
+def _runs(config: str, trials: int, verdicts: dict[str, str]) -> tuple[tuple[str, str, int, str], ...]:
+    return tuple((config, law_id, trials, verdict) for law_id, verdict in sorted(verdicts.items()))
 
 
 _REPROS = {
     # a truncation with the multiples axiom on a base that is not Archimedean
     "lex-trunc-archimedean": PinnedRun(
-        "lex_plane", 1001, 1000, {"archimedean.space": REFUTED, "tau1": PASS, "tau2": PASS, "tau3": PASS}
+        1001, _runs("lex_plane", 1000, {"archimedean.space": REFUTED, "tau1": PASS, "tau2": PASS, "tau3": PASS})
     ),
     # an Archimedean base whose identity truncation fails the multiples axiom
     "identity-trunc-tau3": PinnedRun(
-        "identity_line", 1002, 1000, {"archimedean.space": PASS, "tau1": PASS, "tau2": PASS, "tau3": REFUTED}
+        1002, _runs("identity_line", 1000, {"archimedean.space": PASS, "tau1": PASS, "tau2": PASS, "tau3": REFUTED})
     ),
-    "c00-ruc": _repro_c00_ruc,
-    "unitization-not-ruc": _repro_unitization_not_ruc,
+    # the real sequence space c00 is relatively uniformly complete
+    "c00-ruc": PinnedRun(1003, _runs("sparse_seq", 1, {"ruc.space": PASS})),
+    # its unitization c00 + R1 is Archimedean but not relatively uniformly complete
+    "unitization-not-ruc": PinnedRun(
+        1004, _runs("sparse_seq", 1, {"archimedean.unitization": PASS, "ruc.unitization": REFUTED})
+    ),
     # 10 trials of the supremum form over a non-unital base, the first at x = 1
-    "thm33-sup": PinnedRun("sparse_seq", 1005, 200, {"thm33.sup": PASS}),
-    "band-decomposition": _repro_band_decomposition,
+    "thm33-sup": PinnedRun(1005, _runs("sparse_seq", 200, {"thm33.sup": PASS})),
+    # each band law halves its trials: 125 components on each dimension 1..4, and 500 projections
+    "band-decomposition": PinnedRun(
+        1006,
+        tuple((f"finite_pointwise:{dim}", "band.component", 250, PASS) for dim in range(1, 5))
+        + (("finite_pointwise:3", "band.project", 1000, PASS),),
+    ),
 }
-
-REPRO_IDS = tuple(_REPROS)
 
 
 def cmd_repro(args) -> int:
-    if args.id not in _REPROS:
-        raise CliError(f"unknown reproduction id {args.id!r}; known: {', '.join(REPRO_IDS)}")
-    lines = []
-
-    def out(text: str) -> None:
-        lines.append(text)
-
-    ok = _REPROS[args.id](out)
-    for text in lines:
-        print(text)
+    ok = _REPROS[args.id](print)
     print(("REPRODUCED: " if ok else "FAILED: ") + args.id)
     return 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="trunclat",
         description="Exact law checking for truncated vector lattices and their unitizations.",
     )
@@ -299,20 +274,18 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate_cmd.set_defaults(fn=cmd_eval)
 
     repro = sub.add_parser("repro", help="replay a scripted demonstration")
-    repro.add_argument("id", help=" | ".join(REPRO_IDS))
+    repro.add_argument("id", choices=_REPROS, metavar="id", help=" | ".join(_REPROS))
     repro.set_defaults(fn=cmd_repro)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
+    except SystemExit:  # only --help exits: a usage error raises CliError
+        return 0
     except (CliError, TrunclatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

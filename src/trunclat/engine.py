@@ -2,8 +2,10 @@
 
 The registry covers the truncation axioms, the exchange and Birkhoff
 identities, the fixed-set/unit characterizations of the unitization, the
-Archimedean deciders for spaces and their unitizations, chain decomposition
-and supremum transfer, and the band machinery for finite pointwise spaces.
+Archimedean deciders for spaces and their unitizations, the relative uniform
+completeness deciders for the sequence space and its unitization, chain
+decomposition and supremum transfer, and the band machinery for finite
+pointwise spaces.
 Every verdict is exact: quantified claims whose witness search is exhausted
 come back inconclusive, never as an overclaimed pass.
 
@@ -21,14 +23,14 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .errors import EmptySet, InvalidCertificate, NegativeInput, PreconditionViolated, SpaceMismatch
+from .errors import EmptySet, NegativeInput, PreconditionViolated, SpaceMismatch
 from .rational import Rational, coerce_rational, format_rational
-from .report import LawReport
+from .report import PASS, LawReport
 from .sampling import SampleGen
 from .spaces import (
     Element,
@@ -130,16 +132,17 @@ def catalog(fp_dim: int = 3) -> dict[str, UnitizationCtx]:
 def expected_violations(ctx: UnitizationCtx) -> frozenset[str]:
     """The properties this configuration lacks by a symbolic decision.
 
-    ``tau3`` and the two Archimedean laws state properties a valid truncation
-    may lack, not theorems.  A refutation of one of them is the point of the
-    configuration, and ``check`` exits 0 on it, exactly when the law's own
-    decider rules the property out.
+    ``tau3``, the two Archimedean laws and ``ruc.unitization`` state
+    properties a valid truncation may lack, not theorems.  A refutation of one
+    of them is the point of the configuration, and ``check`` exits 0 on it,
+    exactly when the law's own decider rules the property out.
     """
     decisions = {
         # with no samples, check_tau3 can only refute symbolically
         "tau3": check_tau3(ctx.trunc, []),
         "archimedean.space": archimedean_check(ctx.space),
         "archimedean.unitization": unitization_archimedean(ctx),
+        "ruc.unitization": ruc_unitization(ctx),
     }
     return frozenset(law_id for law_id, decision in decisions.items() if decision.holds is False)
 
@@ -367,6 +370,7 @@ def eps_start_index(eps: Rational) -> int:
     return max(1, math.ceil(1 / Fraction(eps)))
 
 
+# perfbench's engine:example43 command imports this family and repro_example43
 def default_limit_candidates() -> tuple[UnitizedElement, ...]:
     """A 20-member family of would-be limits, covering scalar and base shapes."""
 
@@ -399,6 +403,7 @@ def default_limit_candidates() -> tuple[UnitizedElement, ...]:
     return tuple(out)
 
 
+# the witness replay of ruc.unitization, and perfbench's engine:example43 command
 def repro_example43(
     ctx: UnitizationCtx,
     eps_list: Sequence[Rational],
@@ -461,94 +466,41 @@ def repro_example43(
     return LawReport.passed(law_id, len(candidates), seed, detail=detail)
 
 
-# ---------------------------------------------------------------------------
-# Certified completeness fixtures on the sequence space
-# ---------------------------------------------------------------------------
+def ruc_space(space: Space) -> Decision:
+    """Decide whether every relatively uniformly Cauchy sequence of ``space`` converges.
 
-@dataclass(frozen=True)
-class CertifiedSeq:
-    """A sequence of base elements with a per-coordinate stabilization certificate."""
-
-    name: str
-    fn: Callable[[int], Element] = field(compare=False)
-    declared_support: tuple[int, ...]
-    stable_from: Mapping[int, int]
-    regulator: Element
-    check_window: int = 8
-
-
-def default_certified_fixtures() -> tuple[CertifiedSeq, ...]:
-    def head(n: int) -> Element:
-        return harmonic_prefix(min(n, 5))
-
-    def constant(n: int) -> Element:
-        return sparse({2: Fraction(3, 2)})
-
-    def ramp(n: int) -> Element:
-        return sparse({1: Fraction(min(n, 4), 4), 3: 2})
-
-    return (
-        CertifiedSeq(
-            "harmonic-head",
-            head,
-            (1, 2, 3, 4, 5),
-            {k: k for k in range(1, 6)},
-            sparse({k: 1 for k in range(1, 6)}),
-        ),
-        CertifiedSeq("constant", constant, (2,), {2: 1}, sparse({2: 1})),
-        CertifiedSeq("ramp", ramp, (1, 3), {1: 4, 3: 1}, sparse({1: 1, 3: 1})),
-    )
-
-
-def repro_c00_ruc(
-    fixtures: Sequence[CertifiedSeq],
-    eps_list: Sequence[Rational] = (Fraction(1, 10),),
-    seed: int = 0,
-) -> LawReport:
-    """Extract certified coordinatewise limits and confirm convergence in the base.
-
-    The certificate is re-checked against the sequence over a verification
-    window; a lying certificate raises :class:`InvalidCertificate`.  The limit
-    has finite support by construction and the tail converges regulator-
-    uniformly (exactly) once every coordinate has stabilized.
+    Decided for ``SparseSeq`` only, read as the real lattice c00(R), since c00
+    over the rationals is not.  If ``|x_n - x_m| <= eps*u`` from some ``N``
+    on, every ``x_n - x_N`` lies in the span of ``supp(u)``: a
+    finite-dimensional band, where uniform and coordinatewise limits agree.
     """
-    law_id = "example43.ruc"
-    for fx in fixtures:
-        declared = set(fx.declared_support)
-        last = max(fx.stable_from.values(), default=1) + fx.check_window
-        for n in range(1, last + 1):
-            e = fx.fn(n)
-            if not set(support(e)) <= declared:
-                raise InvalidCertificate(
-                    f"{fx.name}: support escapes the declared set at step {n}"
-                )
-        values = {}
-        for k in fx.declared_support:
-            if k not in fx.stable_from:
-                raise InvalidCertificate(f"{fx.name}: no stabilization index for coordinate {k}")
-            start = fx.stable_from[k]
-            ref = coeff(fx.fn(start), k)
-            for n in range(start, last + 1):
-                if coeff(fx.fn(n), k) != ref:
-                    raise InvalidCertificate(
-                        f"{fx.name}: coordinate {k} moves at step {n} after its certified index"
-                    )
-            values[k] = ref
-        limit = sparse(values)
-        tail_from = max(fx.stable_from.values(), default=1)
-        for n in range(tail_from, last + 1):
-            diff = abs(fx.fn(n) - limit)
-            for eps in eps_list:
-                if not leq(diff, scale(Fraction(eps), fx.regulator)):
-                    return LawReport.refuted(
-                        law_id,
-                        len(fixtures),
-                        seed,
-                        {"fixture": fx.name, "n": n, "diff": element_to_json(diff)},
-                    )
-    return LawReport.passed(
-        law_id, len(fixtures), seed, detail=f"limits={len(fixtures)}, all finite support"
+    if not isinstance(space, SparseSeq):
+        return Decision(None)
+    return Decision(
+        True, "real c00, not c00 over Q: u-uniformly Cauchy sequences end in the finite-dimensional span(supp u)"
     )
+
+
+def ruc_unitization(ctx: UnitizationCtx) -> Decision:
+    """Decide relative uniform completeness of the unitization, where known.
+
+    For ``MeetWithOne`` on ``SparseSeq`` the unitization is c00 + R1, and the
+    harmonic prefixes are 1-uniformly Cauchy with no limit: a limit's scalar
+    part lies below every tolerance, and a base element supported up to
+    ``n0`` is off by ``1/(n0+1)`` at ``n0+1``.  The witness replays both
+    arguments through :func:`repro_example43` on one tolerance, one window and
+    one candidate of each shape.  With a finitely supported unit the
+    unitization is c00 x R, which is relatively uniformly complete, and that
+    case is left undecided here.
+    """
+    if isinstance(ctx.space, SparseSeq) and isinstance(ctx.trunc.kind, MeetWithOne):
+        return Decision(
+            False,
+            "the harmonic prefixes are 1-uniformly Cauchy, and no eventually constant sequence is their limit",
+            (Fraction(1, 10), 8, ctx.scalar(Fraction(1, 2)), ctx.embed(harmonic_prefix(5))),
+            names=("eps", "window", "scalar_candidate", "base_candidate"),
+        )
+    return Decision(None)
 
 
 # ---------------------------------------------------------------------------
@@ -704,18 +656,18 @@ class Law:
 def _law_tau3(ctx: UnitizationCtx, gen: SampleGen, n: int) -> LawReport:
     samples = [gen.positive() for _ in range(min(n, 50))]
     decision = check_tau3(ctx.trunc, samples, bound=100)
-    return decision_report("tau3", ctx.trunc, decision, multiples_fixed, gen.seed, "multiples verified")
+    return decision_report("tau3", ctx.trunc, decision, multiples_fixed, gen.seed, "multiples verified to n=64")
 
 
 def decision_report(
-    law_id: str, lat, decision: Decision, replays: Callable, seed: int, verified: str = "verified"
+    law_id: str, lat, decision: Decision, replays: Callable | None, seed: int, verified: str = "verified to n=64"
 ) -> LawReport:
     """The report of a decider's ``decision`` on the law ``law_id``.
 
     A symbolic refutation is replayed first: ``replays(lat, *decision.witness)``
-    re-checks its witness, and ``verified`` names what that replay verified.
-    A witness that does not replay refutes nothing, so that report is
-    inconclusive.  A bounded decision reports its search bound as its trial
+    re-checks the witness the report lists under ``decision.names``, and
+    ``verified`` names what the replay verified.  A witness that does not
+    replay refutes nothing, so that report is inconclusive.  A bounded decision reports its search bound as its trial
     count.
     """
     bound = decision.bound
@@ -727,11 +679,17 @@ def decision_report(
     if bound:
         detail = f"fixed through n<={bound}"
     elif replays(lat, *decision.witness):
-        detail = f"symbolic, {verified} to n=64: {decision.reason}"
+        detail = f"symbolic, {verified}: {decision.reason}"
     else:
         return LawReport.inconclusive(law_id, 0, seed, bound=0, detail="symbolic witness failed re-check")
-    witness = {name: lat.to_json(w) for name, w in zip(("x", "y"), decision.witness)}
+    witness = {name: _witness_json(lat, w) for name, w in zip(decision.names, decision.witness)}
     return LawReport.refuted(law_id, bound, seed, witness, detail=detail)
+
+
+def _witness_json(lat, w):
+    if isinstance(w, Fraction):
+        return format_rational(w)
+    return w if isinstance(w, int) else lat.to_json(w)
 
 
 def _law_lemma23_self(ctx: UnitizationCtx, gen: SampleGen, n: int) -> LawReport:
@@ -746,6 +704,18 @@ def _law_arch_space(ctx: UnitizationCtx, gen: SampleGen, n: int) -> LawReport:
 def _law_arch_unitization(ctx: UnitizationCtx, gen: SampleGen, n: int) -> LawReport:
     decision = unitization_archimedean(ctx)
     return decision_report("archimedean.unitization", ctx, decision, multiples_below, gen.seed)
+
+
+def _law_ruc_space(ctx: UnitizationCtx, gen: SampleGen, n: int) -> LawReport:
+    # ruc_space never refutes, so there is no witness to replay
+    return decision_report("ruc.space", ctx.trunc, ruc_space(ctx.space), None, gen.seed)
+
+
+def _law_ruc_unitization(ctx: UnitizationCtx, gen: SampleGen, n: int) -> LawReport:
+    def replays(lat: UnitizationCtx, eps: Rational, window: int, *candidates: UnitizedElement) -> bool:
+        return repro_example43(lat, [eps], window, candidates).verdict == PASS
+
+    return decision_report("ruc.unitization", ctx, ruc_unitization(ctx), replays, gen.seed, "witness replayed")
 
 
 def _law_thm31(ctx: UnitizationCtx, gen: SampleGen, n: int) -> LawReport:
@@ -1056,6 +1026,8 @@ REGISTRY: tuple[Law, ...] = (
     Law("prop21", _on_positives(check_prop21), dsl=_DSL_PROP21),
     Law("prop22", _on_positives(check_prop22), dsl=_DSL_PROP22),
     Law("remark34.sup", _law_remark34, applies=lambda c: c.trunc.unital, divisor=20),
+    Law("ruc.space", _law_ruc_space, applies=lambda c: ruc_space(c.space).holds is not None),
+    Law("ruc.unitization", _law_ruc_unitization, applies=lambda c: ruc_unitization(c).holds is not None),
     Law("tau1", _on_positives(check_tau1), dsl=_DSL_TAU1),
     Law("tau2", _on_positives(check_tau2, pairs=False)),
     Law("tau3", _law_tau3),

@@ -21,10 +21,6 @@ class NegativeInput(TrunclatError):
     """A positive-cone argument was required."""
 
 
-class InvalidCertificate(TrunclatError):
-    """A stabilization certificate does not match the sequence it describes."""
-
-
 class DescriptorError(TrunclatError):
     """A JSON descriptor (space, truncation, element, config) is malformed."""
 

@@ -315,14 +315,15 @@ class Decision:
     """What a decider found: ``holds`` is True or False, or None when undecided.
 
     ``bound`` is 0 for a symbolic decision and the search bound otherwise.  A
-    refutation carries its ``witness`` elements, which the law's report
-    replays before it refutes.
+    refutation carries its ``witness``, which the law's report replays before
+    it refutes and lists under ``names``: lattice elements, rationals or counts.
     """
 
     holds: bool | None
     reason: str = ""
     witness: tuple = ()
     bound: int = 0
+    names: tuple[str, ...] = ("x", "y")
 
 
 def check_tau3(t: TruncationSpec, samples: Sequence[Element], bound: int = 100) -> Decision:

@@ -5,9 +5,10 @@ import sys
 
 import pytest
 
-from trunclat.cli import _REPROS, PinnedRun, _parse_space, _parse_trunc, main
+from trunclat.cli import _REPROS, PinnedRun, _config_context, _parse_space, _parse_trunc, main
 from trunclat.dsl import compile_assertion
-from trunclat.engine import catalog, run_suite
+from trunclat.engine import catalog, expected_violations, run_suite
+from trunclat.report import render_table
 from trunclat.sampling import SampleGen
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -288,22 +289,35 @@ def test_repro_ids(repro_id, capsys):
     assert capsys.readouterr().out.strip().endswith(f"REPRODUCED: {repro_id}")
 
 
-PINNED_RUNS = {rid: run for rid, run in _REPROS.items() if isinstance(run, PinnedRun)}
+def test_every_repro_is_a_pinned_run():
+    assert sorted(_REPROS) == [
+        "band-decomposition",
+        "c00-ruc",
+        "identity-trunc-tau3",
+        "lex-trunc-archimedean",
+        "thm33-sup",
+        "unitization-not-ruc",
+    ]
+    assert all(isinstance(run, PinnedRun) for run in _REPROS.values())
 
 
-def test_three_repros_are_pinned_runs():
-    assert sorted(PINNED_RUNS) == ["identity-trunc-tau3", "lex-trunc-archimedean", "thm33-sup"]
-
-
-@pytest.mark.parametrize("repro_id", sorted(PINNED_RUNS))
+@pytest.mark.parametrize("repro_id", sorted(_REPROS))
 def test_pinned_run_reports_are_check_rows(repro_id):
-    # every row a pinned repro prints is the row `check` prints at the same seed and trial count
-    run = PINNED_RUNS[repro_id]
-    ctx = catalog()[run.config]
-    suite = {r.law_id: r for r in run_suite(ctx.space, ctx.trunc, run.seed, run.trials)}
-    reports = run.reports(ctx)
-    assert reports == [suite[law_id] for law_id in sorted(run.verdicts)]
-    assert {r.law_id: r.verdict for r in reports} == run.verdicts
+    # each table a repro prints holds the rows `check` reports at the same configuration, seed and trial count
+    pinned = _REPROS[repro_id]
+    lines = []
+    assert pinned(lines.append)
+    checks = {}
+    for config, law_id, trials, verdict in pinned.runs:
+        checks.setdefault((config, trials), []).append((law_id, verdict))
+    for (config, trials), laws in checks.items():
+        ctx = _config_context(config)
+        suite = {r.law_id: r for r in run_suite(ctx.space, ctx.trunc, pinned.seed, trials)}
+        assert [suite[law_id].verdict for law_id, _ in laws] == [verdict for _, verdict in laws]
+        table = render_table([suite[law_id] for law_id, _ in laws], expected_violations(ctx)).rstrip("\n")
+        assert table in "\n".join(lines)
+        heading = f"check --space {config} --seed {pinned.seed} --trials {trials}"
+        assert (heading in lines) == (len(checks) > 1)
 
 
 def test_pinned_repro_fails_on_a_witness_that_does_not_replay(monkeypatch, capsys):
@@ -313,6 +327,38 @@ def test_pinned_repro_fails_on_a_witness_that_does_not_replay(monkeypatch, capsy
     out = capsys.readouterr().out
     assert "archimedean.space  INCONCLUSIVE" in out
     assert out.strip().endswith("FAILED: lex-trunc-archimedean")
+
+
+def test_unitization_not_ruc_fails_when_the_harmonic_prefixes_are_not_cauchy(monkeypatch, capsys):
+    # a mutant Cauchy check: the ruc.unitization witness no longer replays, so the demonstration fails
+    monkeypatch.setattr("trunclat.engine.uniform_cauchy_prefix", lambda *args, **kwargs: False)
+    assert run_cli("repro", "unitization-not-ruc") == 1
+    out = capsys.readouterr().out
+    assert "ruc.unitization          INCONCLUSIVE" in out
+    assert out.strip().endswith("FAILED: unitization-not-ruc")
+
+
+def test_check_sparse_seq_refutes_ruc_of_the_unitization_as_expected(capsys):
+    assert run_cli("check", "--space", "sparse_seq", "--trials", "20") == 0
+    rows = {row.split()[0]: row for row in capsys.readouterr().out.splitlines()}
+    assert "PASS" in rows["ruc.space"]
+    assert "REFUTED (expected)" in rows["ruc.unitization"]
+
+
+def test_positive_unit_on_the_line_has_an_archimedean_unitization(capsys):
+    trunc = '{"kind":"meet_with_unit","unit":"2"}'
+    assert run_cli("check", "--space", "identity_line", "--trunc", trunc, "--trials", "20", "--seed", "1") == 0
+    rows = {row.split()[0]: row.split(None, 3) for row in capsys.readouterr().out.splitlines()}
+    reason = "symbolic: weighted pointwise order on one point plus infinity"
+    assert rows["archimedean.unitization"][1:] == ["PASS", "0", reason]
+    assert rows["thm31.equivalence"][1] == "PASS"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"], ["repro", "-h"]])
+def test_help_exits_zero_with_the_help_text(argv, capsys):
+    assert run_cli(*argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: trunclat") and captured.err == ""
 
 
 def test_seed_env_variable_is_ignored(tmp_path, monkeypatch):

@@ -6,9 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trunclat import (
-    CertifiedSeq,
     EmptySet,
-    InvalidCertificate,
     LexPlane,
     FinitePointwise,
     MeetWithUnit,
@@ -29,7 +27,6 @@ from trunclat import (
     check_remark34,
     check_thm33_sup,
     coeff,
-    default_certified_fixtures,
     default_limit_candidates,
     eps_start_index,
     expected_violations,
@@ -43,10 +40,12 @@ from trunclat import (
     lexpair,
     meet,
     meet_u,
+    parse_rational,
     project_band_unitized,
-    repro_c00_ruc,
     repro_example43,
     reports_to_jsonl,
+    ruc_space,
+    ruc_unitization,
     run_suite,
     sparse,
     truncate,
@@ -55,6 +54,7 @@ from trunclat import (
     uniform_cauchy_prefix,
     unitization_archimedean,
     unitize,
+    unitized_from_json,
     zero,
 )
 from trunclat import engine
@@ -133,7 +133,7 @@ def test_decision_report_replays_a_symbolic_refutation():
     )
     ident = CATALOG["identity_line"].trunc
     decision = check_tau3(ident, [])
-    report = decision_report("tau3", ident, decision, multiples_fixed, 7, "multiples verified")
+    report = decision_report("tau3", ident, decision, multiples_fixed, 7, "multiples verified to n=64")
     assert report.detail == f"symbolic, multiples verified to n=64: {decision.reason}"
 
 
@@ -211,12 +211,12 @@ def test_expected_violation_registry():
     assert expected_violations(CATALOG["identity_line"]) == frozenset(
         {"tau3", "archimedean.unitization"}
     )
-    assert expected_violations(CATALOG["sparse_seq"]) == frozenset()
+    assert expected_violations(CATALOG["sparse_seq"]) == frozenset({"ruc.unitization"})
 
 
-# The hand-written (space, kind) table that expected_violations replaced.
+# The hand-written (space, kind) table that expected_violations replaced, plus the RUC row of c00's unitization.
 OLD_EXPECTED_TABLE = {
-    "sparse_seq": frozenset(),
+    "sparse_seq": frozenset({"ruc.unitization"}),
     "lex_plane": frozenset({"archimedean.space", "archimedean.unitization"}),
     "identity_line": frozenset({"tau3", "archimedean.unitization"}),
     "finite_pointwise": frozenset(),
@@ -422,33 +422,39 @@ def test_default_family_has_twenty_members():
     assert len(set(family)) == 20
 
 
-# -- certified fixtures --------------------------------------------------------
+# -- relative uniform completeness ----------------------------------------------
 
-def test_repro_c00_ruc_default_fixtures():
-    report = repro_c00_ruc(default_certified_fixtures(), seed=2)
-    assert report.verdict == "pass"
-    assert "all finite support" in report.detail
+def test_ruc_space_holds_on_real_c00_only():
+    decision = ruc_space(SparseSeq())
+    assert decision.holds is True and decision.bound == 0
+    assert "not c00 over Q" in decision.reason
+    assert ruc_space(FinitePointwise(3)).holds is None and ruc_space(LexPlane()).holds is None
+    row = engine.run_law(SPARSE, "ruc.space", 2, 10)
+    assert (row.verdict, row.trials, row.detail) == ("pass", 0, f"symbolic: {decision.reason}")
 
 
-def test_repro_c00_ruc_detects_lying_certificate():
-    liar = CertifiedSeq(
-        "liar",
-        lambda n: sparse({1: n}),
-        (1,),
-        {1: 1},
-        sparse({1: 1}),
-    )
-    with pytest.raises(InvalidCertificate):
-        repro_c00_ruc([liar])
-    escapee = CertifiedSeq(
-        "escapee",
-        lambda n: sparse({n: 1}),
-        (1,),
-        {1: 1},
-        sparse({1: 1}),
-    )
-    with pytest.raises(InvalidCertificate):
-        repro_c00_ruc([escapee])
+def test_ruc_unitization_is_decided_for_meet_with_one_only():
+    assert ruc_unitization(SPARSE).holds is False
+    assert "ruc.unitization" in expected_violations(SPARSE)
+    unit = unitize(truncation(SparseSeq(), MeetWithUnit(sparse({1: 1, 4: 2}))))
+    for ctx in (unit, *(unitize(CATALOG[name].trunc) for name in ("lex_plane", "identity_line", "finite_pointwise"))):
+        assert ruc_unitization(ctx).holds is None
+        assert "ruc.unitization" not in expected_violations(ctx)
+        assert "ruc.unitization" not in {r.law_id for r in run_suite(ctx.space, ctx.trunc, 2, 10)}
+
+
+def test_ruc_unitization_witness_replays_from_its_report():
+    row = engine.run_law(SPARSE, "ruc.unitization", 2, 10)
+    assert (row.verdict, row.trials) == ("refuted", 0)
+    assert row.detail.startswith("symbolic, witness replayed: ")
+    witness = json.loads(reports_to_jsonl([row]))["witness"]
+    assert sorted(witness) == ["base_candidate", "eps", "scalar_candidate", "window"]
+    assert witness["window"] <= 8
+    scalar, base = (unitized_from_json(SPARSE.space, witness[k]) for k in ("scalar_candidate", "base_candidate"))
+    assert scalar.lam != 0 and base.lam == 0 and base.e != zero(SPARSE.space)
+    replay = repro_example43(SPARSE, [parse_rational(witness["eps"])], witness["window"], (scalar, base))
+    assert replay.verdict == "pass"
+    assert replay.detail == "cauchy_windows=1 candidates_refuted=2"
 
 
 # -- supremum transfer ----------------------------------------------------------

@@ -103,6 +103,10 @@ def eval_argv(config):
 @example(["check", "--space", "finite_pointwise:99999999999999999999", "--trials", "1"])
 @example(["check", "--space", '{"space":"finite_pointwise","dim":99999999999999999999}', "--trials", "1"])
 @example(["eval", "--bind", 'x={"1":"1/1"}', "--", "(" * 200 + "x" + ")" * 200])
+@example(["check", "--trunc", "-:"])
+@example(["check", "--bogus"])
+@example(["eval", "--bind"])
+@example([])
 def test_cli_never_crashes(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

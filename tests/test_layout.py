@@ -8,8 +8,8 @@ function reaches the dense and scalar layouts through a walker.  In
 reads the private internals of ``Fraction`` (``_numerator``,
 ``_denominator``, ``_normalize``, ``_from_coprime_ints``): they belong to one
 CPython version, and ``_normalize`` is gone in 3.12.  ``cli.py`` imports no
-decider, witness replay or law check of the engine: a scripted demonstration
-runs registered laws, it does not copy their bodies.  The rules are checked
+decider, witness replay, law check or repro routine of the engine: a
+scripted demonstration runs registered laws, it does not copy their bodies.  The rules are checked
 on the source with the standard ``ast`` module.
 """
 
@@ -44,6 +44,11 @@ LAW_BODY_NAMES = frozenset({
     "check_thm33_sup",
     "check_remark34",
     "check_lemma54",
+    "repro_c00_ruc",
+    "repro_example43",
+    "default_limit_candidates",
+    "uniform_cauchy_prefix",
+    "harmonic_prefix",
 })
 
 
