@@ -39,7 +39,8 @@ from .spaces import (
     LexPlane,
     Space,
     SparseSeq,
-    _ZERO,
+    _mask,
+    _scalars,
     coeff,
     decompose_chain,
     check_chain_sup_additivity,
@@ -198,9 +199,9 @@ def unitization_archimedean(ctx: UnitizationCtx) -> Decision:
                     "the base is already non-Archimedean",
                     (ctx.embed(lexpair(0, 1)), ctx.embed(lexpair(1, 0))),
                 )
-            if isinstance(ctx.space, FinitePointwise) and all(v > 0 for v in u.payload):
+            if isinstance(ctx.space, FinitePointwise) and all(v > 0 for v in _scalars(u)):
                 return Decision(True, "weighted pointwise order on finitely many points plus infinity")
-            if isinstance(ctx.space, IdentityLine) and u.payload > 0:
+            if isinstance(ctx.space, IdentityLine) and all(v > 0 for v in _scalars(u)):
                 return Decision(True, "weighted pointwise order on one point plus infinity")
     return Decision(None)
 
@@ -555,20 +556,13 @@ def band(space: FinitePointwise, coords: Iterable[int]) -> Band:
     return Band(cs)
 
 
-def _mask(space: FinitePointwise, coords: frozenset[int], x: Element) -> Element:
-    return Element(
-        space,
-        tuple(v if (i + 1) in coords else _ZERO for i, v in enumerate(x.payload)),
-    )
-
-
 def band_component(space: FinitePointwise, b: Band, x: Element) -> Element:
     """The component of ``x >= 0`` in the band: the supremum of ``B+ ∩ [0, x]``."""
     if x.space != space:
         raise SpaceMismatch(f"{space!r} vs {x.space!r}")
     if not is_positive(x):
         raise NegativeInput("band components are defined for positive elements")
-    return _mask(space, b.coords, x)
+    return _mask(x, b.coords)
 
 
 def band_component_join(space: FinitePointwise, b: Band, x: Element) -> Element:
@@ -582,7 +576,7 @@ def band_component_join(space: FinitePointwise, b: Band, x: Element) -> Element:
         raise SpaceMismatch(f"{space!r} vs {x.space!r}")
     if not is_positive(x):
         raise NegativeInput("band components are defined for positive elements")
-    atoms = [_mask(space, frozenset((c,)), x) for c in b.coords]
+    atoms = [_mask(x, frozenset((c,))) for c in b.coords]
     return sup_finite([zero(space)] + atoms)
 
 
@@ -608,7 +602,7 @@ def project_band_unitized(
         raise PreconditionViolated("band projection needs a unital finite pointwise base")
     u = ctx.trunc.unit
     base_part = x.e + scale(x.lam, u)
-    in_band = ctx.embed(_mask(ctx.space, b.base.coords, base_part))
+    in_band = ctx.embed(_mask(base_part, b.base.coords))
     if b.include_complement:
         in_band = in_band + UnitizedElement(scale(-x.lam, u), x.lam)
     return in_band, x - in_band
@@ -620,10 +614,7 @@ def in_unitized_band(ctx: UnitizationCtx, b: UnitizedBand, z: UnitizedElement) -
         raise PreconditionViolated("band membership needs a unital finite pointwise base")
     u = ctx.trunc.unit
     base_part = z.e + scale(z.lam, u)
-    outside = [
-        v for i, v in enumerate(base_part.payload) if (i + 1) not in b.base.coords
-    ]
-    return all(v == 0 for v in outside) and (b.include_complement or z.lam == 0)
+    return _mask(base_part, b.base.coords) == base_part and (b.include_complement or z.lam == 0)
 
 
 def band_projection_holds(ctx: UnitizationCtx, b: UnitizedBand, x: UnitizedElement) -> bool:

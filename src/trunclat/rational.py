@@ -1,8 +1,11 @@
 """Exact rational scalars and their canonical ``"p/q"`` wire format.
 
-Scalars are :class:`fractions.Fraction` values throughout the library: always
-reduced, positive denominator, exact total order.  Floats are rejected at
-every entry point so that law checking stays sound.
+Every scalar the library takes or gives back is a :class:`fractions.Fraction`:
+always reduced, positive denominator, exact total order.  Inside the lattice
+kernel (:mod:`trunclat.spaces`) element values are kept as the same reduced
+``(numerator, denominator)`` integer pairs, and ``Fraction``s are built only at
+the boundary.  Floats are rejected at every entry point so that law checking
+stays sound.
 """
 
 import re

@@ -7,28 +7,32 @@ exact rationals.  Numerators and denominators stay within ``MAX_MAGNITUDE``,
 and a sparse sample has at most ``MAX_SUPPORT`` indices, each at most
 ``MAX_INDEX``, to keep exact arithmetic fast.
 
-:meth:`SampleGen.rational` consumes the stream exactly as
-``Random.randint`` would, without calling it: ``randint(a, b)`` draws
-``getrandbits(k)`` with ``k = (b - a + 1).bit_length()`` until the value is
-below ``b - a + 1`` and adds ``a`` (CPython 3.10 to 3.13), and ``rational``
-makes those same ``getrandbits`` calls directly.  The value is read from a
-table of every ``Fraction(num, den)`` it can return, built once at import.
+No draw calls ``Random.randint``; each consumes the stream exactly as it
+would: ``randint(a, b)`` draws ``getrandbits(k)`` with
+``k = (b - a + 1).bit_length()`` until the value is below ``b - a + 1`` and
+adds ``a`` (CPython 3.10 to 3.13), and :func:`_below` makes those same
+``getrandbits`` calls directly, for :meth:`SampleGen.randint`, the branch
+draws and :meth:`SampleGen.rational`.  A rational is read from a table of
+every ``Fraction(num, den)`` it can return, built once at import.
 
 An element is drawn the same way, a whole payload in one local loop over
 ``getrandbits`` (:func:`_dense_values`, :func:`_sparse_payload`), with the
-calls and values of one ``rational`` per value.  A sparse support replays
-``Random.sample(range(1, MAX_INDEX + 1), k)`` after ``k = randint(0,
-MAX_SUPPORT)``: for a population of at most 21 and ``k <= 5``, ``sample``
-takes its pool path, which picks ``pool[j]`` with ``j`` below ``n - i`` at
-step ``i`` and moves the last unpicked value ``pool[n - i - 1]`` into the
-gap (CPython 3.10 to 3.13); ``MAX_INDEX`` is 16 and ``MAX_SUPPORT`` is 4.
-:meth:`SampleGen.index_subset` keeps calling ``Random.sample``.
+calls and values of one ``rational`` per value, read from a second table that
+holds the same values as the reduced int pairs of the element layout.  A
+sparse support replays ``Random.sample(range(1, MAX_INDEX + 1), k)`` after
+``k = randint(0, MAX_SUPPORT)``: for a population of at most 21 and
+``k <= 5``, ``sample`` takes its pool path, which picks ``pool[j]`` with
+``j`` below ``n - i`` at step ``i`` and moves the last unpicked value
+``pool[n - i - 1]`` into the gap (CPython 3.10 to 3.13); ``MAX_INDEX`` is 16
+and ``MAX_SUPPORT`` is 4.  :meth:`SampleGen.index_subset` keeps calling
+``Random.sample``.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from .spaces import (
     Element,
@@ -38,6 +42,7 @@ from .spaces import (
     Space,
     SparseSeq,
     _ZERO,
+    _from_pairs,
     add,
     meet,
 )
@@ -50,8 +55,24 @@ MAX_MAGNITUDE = 32
 MAX_SUPPORT = 4
 
 _M = MAX_MAGNITUDE
-# _FRACTIONS[(num + M) * M + den - 1] == Fraction(num, den) for |num| <= M, 1 <= den <= M
-_FRACTIONS = tuple(Fraction(num, den) for num in range(-_M, _M + 1) for den in range(1, _M + 1))
+
+
+def _tables() -> tuple[tuple, tuple]:
+    """Entry ``(num + M) * M + den - 1`` is ``Fraction(num, den)`` for ``|num| <= M`` and
+    ``1 <= den <= M``: as a ``Fraction`` in the first table and as the element layout's
+    reduced int pair in the second, one object per distinct value (1295 in 2080 entries)."""
+    pairs = {}
+    entries = []
+    for num in range(-_M, _M + 1):
+        for den in range(1, _M + 1):
+            g = gcd(num, den)
+            pair = (num // g, den // g)
+            entries.append(pairs.setdefault(pair, pair))
+    fractions = {pair: Fraction(*pair) for pair in pairs}
+    return tuple(map(fractions.__getitem__, entries)), tuple(entries)
+
+
+_FRACTIONS, _PAIRS = _tables()
 # bit widths of the draws below _M, 2 * _M + 1 and MAX_SUPPORT + 1
 _K_M = _M.bit_length()
 _K_SIGNED = (2 * _M + 1).bit_length()
@@ -68,6 +89,20 @@ def _below(bits, n: int) -> int:
     return r
 
 
+def _rational_index(bits, nonneg: bool, nonzero: bool) -> int:
+    """The table index of ``SampleGen.rational(nonneg=nonneg, nonzero=nonzero)``."""
+    den = _below(bits, _M)  # den - 1
+    if nonzero:
+        num = _below(bits, _M) + 1
+        if not nonneg and _below(bits, 2):
+            num = -num
+    elif nonneg:
+        num = _below(bits, _M + 1)
+    else:
+        num = _below(bits, 2 * _M + 1) - _M
+    return (num + _M) * _M + den
+
+
 def _dense_values(bits, n: int, nonneg: bool) -> tuple:
     """``n`` values of ``rational(nonneg=nonneg)``, in order, from one loop."""
     span, k, offset = (_M + 1, _K_M, _M) if nonneg else (2 * _M + 1, _K_SIGNED, 0)
@@ -79,7 +114,7 @@ def _dense_values(bits, n: int, nonneg: bool) -> tuple:
         num = bits(k)
         while num >= span:
             num = bits(k)
-        out.append(_FRACTIONS[(num + offset) * _M + den])
+        out.append(_PAIRS[(num + offset) * _M + den])
     return tuple(out)
 
 
@@ -116,7 +151,7 @@ def _sparse_payload(bits, nonneg: bool) -> tuple:
             if sign:
                 num = -num
         # sorted, unique, >= 1 and nonzero: already a sparse payload
-        out.append((index, _FRACTIONS[(num + _M) * _M + den]))
+        out.append((index, _PAIRS[(num + _M) * _M + den]))
     return tuple(out)
 
 
@@ -129,39 +164,30 @@ class SampleGen:
         self._rng = random.Random(self.seed)
 
     def randint(self, lo: int, hi: int) -> int:
-        return self._rng.randint(lo, hi)
+        """``Random.randint(lo, hi)``, drawn with the same ``getrandbits`` calls."""
+        return lo + _below(self._rng.getrandbits, hi - lo + 1)
 
     def index_subset(self, upper: int) -> list[int]:
         """A uniformly sized random subset of ``1..upper``, in sample order."""
-        return self._rng.sample(range(1, upper + 1), self._rng.randint(0, upper))
+        return self._rng.sample(range(1, upper + 1), _below(self._rng.getrandbits, upper + 1))
 
     def rational(self, *, nonneg: bool = False, nonzero: bool = False) -> Fraction:
         """``Fraction(num, den)`` with ``den = randint(1, M)`` and ``num`` from
         ``randint(1, M)`` signed by ``randint(0, 1)`` (``nonzero``, unsigned if
         also ``nonneg``), ``randint(0, M)`` (``nonneg``) or ``randint(-M, M)``."""
-        bits = self._rng.getrandbits
-        den = _below(bits, _M)  # den - 1
-        if nonzero:
-            num = _below(bits, _M) + 1
-            if not nonneg and _below(bits, 2):
-                num = -num
-        elif nonneg:
-            num = _below(bits, _M + 1)
-        else:
-            num = _below(bits, 2 * _M + 1) - _M
-        return _FRACTIONS[(num + _M) * _M + den]
+        return _FRACTIONS[_rational_index(self._rng.getrandbits, nonneg, nonzero)]
 
     def _draw(self, nonneg: bool) -> Element:
         bits = self._rng.getrandbits
         match self.space:
             case FinitePointwise(dim):
-                return Element(self.space, _dense_values(bits, dim, nonneg))
+                return _from_pairs(self.space, _dense_values(bits, dim, nonneg))
             case SparseSeq():
-                return Element(self.space, _sparse_payload(bits, nonneg))
+                return _from_pairs(self.space, _sparse_payload(bits, nonneg))
             case LexPlane():
-                return Element(self.space, _dense_values(bits, 2, nonneg))
+                return _from_pairs(self.space, _dense_values(bits, 2, nonneg))
             case IdentityLine():
-                return Element(self.space, _dense_values(bits, 1, nonneg)[0])
+                return _from_pairs(self.space, _dense_values(bits, 1, nonneg)[0])
 
     def element(self) -> Element:
         return self._draw(nonneg=False)
@@ -170,9 +196,11 @@ class SampleGen:
         if isinstance(self.space, LexPlane):
             # any pair with positive first coordinate is positive; mix in
             # second-axis-only positives, which the lex order treats specially
-            if self._rng.randint(0, 3) == 0:
-                return Element(self.space, (_ZERO, self.rational(nonneg=True)))
-            return Element(self.space, (self.rational(nonneg=True, nonzero=True), self.rational()))
+            bits = self._rng.getrandbits
+            if not _below(bits, 4):  # randint(0, 3) == 0
+                return _from_pairs(self.space, (_ZERO, _PAIRS[_rational_index(bits, True, False)]))
+            first = _PAIRS[_rational_index(bits, True, True)]
+            return _from_pairs(self.space, (first, _PAIRS[_rational_index(bits, False, False)]))
         return self._draw(nonneg=True)
 
     def increasing_chain(self, length: int, cap: Element) -> tuple[Element, ...]:
@@ -192,7 +220,7 @@ class SampleGen:
 
     def positive_unitized(self, ctx: UnitizationCtx) -> UnitizedElement:
         """A cone member, built constructively so all cone branches are exercised."""
-        branch = self._rng.randint(0, 3)
+        branch = _below(self._rng.getrandbits, 4)  # randint(0, 3)
         if branch == 0:
             return ctx.embed(self.positive())
         if branch == 1:

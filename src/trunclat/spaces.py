@@ -14,36 +14,42 @@ Elements are immutable values and every operation is pure and exact.
 The sign decomposition follows the lattice convention: ``pos(a) = a v 0`` and
 ``neg(a) = (-a) v 0`` are both positive, with ``a = pos(a) - neg(a)``.
 
-Order comparisons read the public ``numerator`` and ``denominator`` of each
-``Fraction`` rather than going through its rich comparisons.  A sign test reads
-the sign of the numerator, and ``x <= y`` is the integer comparison
-``x.numerator * y.denominator <= y.numerator * x.denominator``, which is exact
-because a ``Fraction`` is always reduced with a positive denominator.  ``pos``,
-``neg`` and ``abs`` are computed value by value in one pass over the payload
-(on ``LexPlane`` from the sign of the pair), with no zero element, negated copy
-or join built on the way; sparse results drop the zeros.
+``Fraction`` in and out, reduced integer pairs inside.  An element keeps each
+value as a pair ``(n, d)`` of ints with ``d > 0`` and ``gcd(n, d) = 1`` (each
+value its own denominator, never a shared one), so that equal values are equal
+pairs and structural equality stays semantic equality.  The kernel computes on
+the ints: a sign test reads the sign of ``n``, ``x <= y`` is
+``xn * yd <= yn * xd``, and a sum, difference or product is integer arithmetic
+plus one ``math.gcd``; no ``Fraction`` is built per value.  The boundary
+builds ``Fraction``s: ``Element(space, payload)`` takes the ``Fraction``
+layout, ``Element.payload`` gives it back (built on first read and kept), and
+``coeff`` returns a ``Fraction``.  The wire format prints ``p/q`` from the
+ints.  ``pos``, ``neg`` and ``abs`` are computed value by value in one pass
+(on ``LexPlane`` from the sign of the pair), with no zero element, negated
+copy or join built on the way; sparse results drop the zeros.
 
 Apart from ``zero`` and the wire format, three private walkers are the only
-code that reads the payload layout of each space (see ``Element``): ``_map``
-applies a function value by value, ``_zip`` combines two elements value by
-value (``map`` over dense tuples, an ordered merge of sparse payloads, one
-call on the line) and ``_values`` iterates the values of any payload.
-``add``, ``sub``, ``scale``, negation and the componentwise arms of the order
-operations go through them.  Three things keep their own arm: the lex order
-(``_lex_leq``, ``_lex_sign``), which is total rather than componentwise; the
-sparse ``leq`` (``_sparse_leq``), which stops at the first index that fails;
-and the sign filters of the sparse ``pos`` and ``neg``, which drop the zeros
-that ``_map`` never makes.
+code that reads the layout of each space (see ``Element``): ``_map`` applies
+a function value by value, ``_zip`` combines two elements value by value
+(``map`` over dense tuples, an ordered merge of sparse payloads, one call on
+the line) and ``_values`` iterates the values of any element.  ``add``,
+``sub``, ``scale``, negation, the componentwise arms of the order operations
+and the conversion to and from ``Fraction``s go through them.  Three things
+keep their own arm: the lex order (``_lex_leq``, ``_lex_sign``), which is
+total rather than componentwise; the sparse ``leq`` (``_sparse_leq``), which
+stops at the first index that fails; and the sparse filters, which drop the
+zeros that ``_map`` never makes (``pos``, ``neg`` and ``_shifted_pos_one``).
 
-The linear operations build no ``Fraction`` whose value is known without
-arithmetic: ``add`` and ``sub`` give back the other operand (negated for
-``0 - y``) when one value is zero, ``scale`` leaves zero values as they are,
-and ``scale(1, a)`` is ``a`` itself.  Any other sum or difference is one
-constructor call, ``Fraction(xn*yd + yn*xd, xd*yd)`` or its ``-``, on the
-numerators and denominators already read for those tests; the constructor
-reduces it to the terms ``x + y`` would have, without the operator's dispatch
-and second read of both operands.  The unitization's scalar part uses the
-same two helpers.  ``shifted_pos``, the clip
+The other modules reach values only through this module, which has a
+private arm for each place they need one: the ``meet_with_one`` truncation
+(``_meet_one``, ``_shifted_pos_one``, ``_within_one``, on the sparse layout),
+the band mask (``_mask``, on the dense layout), the values as ``Fraction``s
+(``_scalars``) and the sampler's constructor (``_from_pairs``).
+
+The linear operations build no pair whose value is known without arithmetic:
+``add`` and ``sub`` give back the other operand (negated for ``0 - y``) when
+one value is zero, ``scale`` leaves zero values as they are, and
+``scale(1, a)`` is ``a`` itself.  ``shifted_pos``, the clip
 ``(x + lam*u)+ - max(lam, 0)*u`` that the unitization's positive part takes
 for a meet with a unit ``u``, goes through ``_zip`` in the same way: it gives
 back ``x``'s own value or the module zero where the clip does not bind.
@@ -55,12 +61,15 @@ import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DescriptorError, EmptySet, PreconditionViolated, SpaceMismatch
-from .rational import coerce_rational, format_rational, parse_rational
+from .rational import coerce_rational, parse_rational
 
-_ZERO = Fraction(0)
+# the value 0 and 1 as reduced pairs, shared by every element
+_ZERO = (0, 1)
+_ONE = (1, 1)
 _second = operator.itemgetter(1)
 
 
@@ -106,21 +115,56 @@ _coerce = coerce_rational
 # Elements
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+def _pair(v) -> tuple[int, int]:
+    return v.numerator, v.denominator
+
+
+def _fraction(v: tuple[int, int]) -> Fraction:
+    return Fraction(*v)
+
+
 class Element:
     """A space-tagged lattice element.
 
-    The payload shape depends on the space: a tuple of rationals for
+    The layout depends on the space: a tuple of values for
     ``FinitePointwise``, a tuple of ``(index, value)`` pairs for ``SparseSeq``,
-    a rational pair for ``LexPlane``, and a single rational for
-    ``IdentityLine``.  A ``SparseSeq`` payload keeps its indices sorted and
+    a pair of values for ``LexPlane``, and a single value for
+    ``IdentityLine``.  A ``SparseSeq`` layout keeps its indices sorted and
     strictly increasing and holds no zero value; the sparse primitives merge
-    payloads in one ordered pass and rely on this.  Use the constructors below
-    rather than instantiating directly.
+    layouts in one ordered pass and rely on this.
+
+    ``Element(space, payload)`` takes the layout with ``Fraction`` (or int)
+    values and keeps only the reduced pairs ``(n, d)``.  ``payload`` is that
+    layout with ``Fraction`` values, built on first read and kept.  Use the
+    constructors below rather than instantiating directly.
     """
 
-    space: Space
-    payload: object
+    __slots__ = ("space", "_v", "_payload")
+
+    def __init__(self, space: Space, payload) -> None:
+        self.space = space
+        self._v = payload  # the walkers read the layout whatever its values are
+        self._v = _map(self, _pair)._v
+
+    @property
+    def payload(self):
+        """The layout with ``Fraction`` values."""
+        try:
+            return self._payload
+        except AttributeError:
+            payload = self._payload = _map(self, _fraction)._v
+            return payload
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Element:
+            return NotImplemented
+        return self._v == other._v and (self.space is other.space or self.space == other.space)
+
+    def __hash__(self) -> int:
+        return hash((self.space, self._v))
+
+    def __repr__(self) -> str:
+        return f"Element(space={self.space!r}, payload={self.payload!r})"
 
     def __add__(self, other: "Element") -> "Element":
         return add(self, other)
@@ -129,7 +173,7 @@ class Element:
         return sub(self, other)
 
     def __neg__(self) -> "Element":
-        return _map(self, operator.neg)
+        return _map(self, _negate)
 
     def __rmul__(self, c) -> "Element":
         return scale(_coerce(c), self)
@@ -137,7 +181,7 @@ class Element:
     def __abs__(self) -> "Element":
         """``a v (-a)``, value by value."""
         if isinstance(self.space, LexPlane):
-            return -self if _lex_sign(self.payload) < 0 else self
+            return -self if _lex_sign(self._v) < 0 else self
         return _map(self, _abs_value)
 
     def __le__(self, other: "Element") -> bool:
@@ -145,6 +189,17 @@ class Element:
 
     def __lt__(self, other: "Element") -> bool:
         return leq(self, other) and self != other
+
+
+_new = object.__new__
+
+
+def _from_pairs(space: Space, v) -> Element:
+    """An element of ``space`` from its layout of reduced pairs, taken as it is."""
+    e = _new(Element)
+    e.space = space
+    e._v = v
+    return e
 
 
 def fp(*values) -> Element:
@@ -166,7 +221,8 @@ def sparse(entries: Mapping[int, object] | Iterable[tuple[int, object]] = ()) ->
     items = entries.items() if isinstance(entries, Mapping) else entries
     cleaned = {}
     for k, v in items:
-        if not isinstance(k, int) or k < 1:
+        # a bool is an int to isinstance, but `True` is no index
+        if type(k) is bool or not isinstance(k, int) or k < 1:
             raise ValueError(f"sparse indices must be integers >= 1, got {k!r}")
         value = _coerce(v)
         if value.numerator:
@@ -185,30 +241,35 @@ def line(value) -> Element:
 def zero(space: Space) -> Element:
     match space:
         case FinitePointwise(dim):
-            return Element(space, (_ZERO,) * dim)
+            return _from_pairs(space, (_ZERO,) * dim)
         case SparseSeq():
-            return Element(space, ())
+            return _from_pairs(space, ())
         case LexPlane():
-            return Element(space, (_ZERO, _ZERO))
+            return _from_pairs(space, (_ZERO, _ZERO))
         case IdentityLine():
-            return Element(space, _ZERO)
+            return _from_pairs(space, _ZERO)
 
 
 def support(a: Element) -> tuple[int, ...]:
     """Indices with nonzero value (``SparseSeq`` only)."""
     if not isinstance(a.space, SparseSeq):
         raise SpaceMismatch("support is defined for SparseSeq elements")
-    return tuple(k for k, _ in a.payload)
+    return tuple(k for k, _ in a._v)
 
 
 def coeff(a: Element, index: int) -> Fraction:
     """The value of a ``SparseSeq`` element at ``index`` (zero off the support)."""
     if not isinstance(a.space, SparseSeq):
         raise SpaceMismatch("coeff is defined for SparseSeq elements")
-    for k, v in a.payload:
+    for k, v in a._v:
         if k == index:
-            return v
-    return _ZERO
+            return _fraction(v)
+    return Fraction(0)
+
+
+def _scalars(a: Element) -> tuple[Fraction, ...]:
+    """The values of ``a`` as ``Fraction``s, in order (for a sparse element, its nonzero values)."""
+    return tuple(map(_fraction, _values(a)))
 
 
 # ---------------------------------------------------------------------------
@@ -223,17 +284,17 @@ def _same_space(a: Element, b: Element) -> None:
 def _map(a: Element, f) -> Element:
     """``f`` applied value by value.
 
-    On a sparse payload ``f`` must map nonzero values to nonzero values: the
+    On a sparse element ``f`` must map nonzero values to nonzero values: the
     result keeps every index of ``a``.
     """
-    p = a.payload
+    p = a._v
     match a.space:
         case FinitePointwise() | LexPlane():
-            return Element(a.space, tuple(map(f, p)))
+            return _from_pairs(a.space, tuple(map(f, p)))
         case SparseSeq():
-            return Element(a.space, tuple((k, f(v)) for k, v in p))
+            return _from_pairs(a.space, tuple((k, f(v)) for k, v in p))
         case IdentityLine():
-            return Element(a.space, f(p))
+            return _from_pairs(a.space, f(p))
 
 
 def _zip(a: Element, b: Element, both, only_a, only_b) -> Element:
@@ -241,19 +302,21 @@ def _zip(a: Element, b: Element, both, only_a, only_b) -> Element:
 
     ``only_a`` and ``only_b`` serve the sparse merge (see ``_sparse_merge``).
     """
-    _same_space(a, b)
-    match a.space:
+    space = a.space
+    if space is not b.space and space != b.space:  # _same_space, inlined: every binary primitive runs here
+        raise SpaceMismatch(f"{space!r} vs {b.space!r}")
+    match space:
         case FinitePointwise() | LexPlane():
-            return Element(a.space, tuple(map(both, a.payload, b.payload)))
+            return _from_pairs(space, tuple(map(both, a._v, b._v)))
         case SparseSeq():
-            return Element(a.space, _sparse_merge(a.payload, b.payload, both, only_a, only_b))
+            return _from_pairs(space, _sparse_merge(a._v, b._v, both, only_a, only_b))
         case IdentityLine():
-            return Element(a.space, both(a.payload, b.payload))
+            return _from_pairs(space, both(a._v, b._v))
 
 
-def _values(a: Element) -> Iterable[Fraction]:
-    """The values of ``a``'s payload, in order (for a sparse payload, its nonzero values)."""
-    p = a.payload
+def _values(a: Element) -> Iterable[tuple[int, int]]:
+    """The values of ``a``, in order (for a sparse element, its nonzero values)."""
+    p = a._v
     match a.space:
         case FinitePointwise() | LexPlane():
             return p
@@ -264,7 +327,7 @@ def _values(a: Element) -> Iterable[Fraction]:
 
 
 def _sparse_merge(pa, pb, both, only_a, only_b) -> tuple:
-    """Combine two sparse payloads in one ordered pass, dropping zero results.
+    """Combine two sparse layouts in one ordered pass, dropping zero results.
 
     ``both`` maps the two values at a shared index; ``only_a`` and ``only_b``
     map a value whose index is in one support only (the other side is zero).
@@ -286,80 +349,86 @@ def _sparse_merge(pa, pb, both, only_a, only_b) -> tuple:
         else:
             k, v = kb, only_b(vb)
             j += 1
-        if v:
+        if v[0]:
             append((k, v))
     for k, va in pa[i:]:
         v = only_a(va)
-        if v:
+        if v[0]:
             append((k, v))
     for k, vb in pb[j:]:
         v = only_b(vb)
-        if v:
+        if v[0]:
             append((k, v))
     return tuple(out)
 
 
-def _keep(v: Fraction) -> Fraction:
+# Per-value helpers.  A value is a reduced pair (n, d) with d > 0, so a sign is
+# the sign of n and an order test is one cross-multiplication.
+
+def _keep(v):
     return v
 
 
-def _pos_value(v: Fraction) -> Fraction:
-    return v if v.numerator > 0 else _ZERO
+def _negate(v):
+    return -v[0], v[1]
 
 
-def _neg_value(v: Fraction) -> Fraction:
-    return v if v.numerator < 0 else _ZERO
+def _pos_value(v):
+    return v if v[0] > 0 else _ZERO
 
 
-def _neg_part(v: Fraction) -> Fraction:
-    return -v if v.numerator < 0 else _ZERO
+def _neg_value(v):
+    return v if v[0] < 0 else _ZERO
 
 
-def _abs_value(v: Fraction) -> Fraction:
-    return -v if v.numerator < 0 else v
+def _neg_part(v):
+    return (-v[0], v[1]) if v[0] < 0 else _ZERO
 
 
-def _nonneg(v: Fraction) -> bool:
-    return v.numerator >= 0
+def _abs_value(v):
+    return (-v[0], v[1]) if v[0] < 0 else v
 
 
-def _le(x: Fraction, y: Fraction) -> bool:
-    return x.numerator * y.denominator <= y.numerator * x.denominator
+def _nonneg(v) -> bool:
+    return v[0] >= 0
 
 
-def _max(x: Fraction, y: Fraction) -> Fraction:
-    return y if x.numerator * y.denominator < y.numerator * x.denominator else x
+def _le(x, y) -> bool:
+    return x[0] * y[1] <= y[0] * x[1]
 
 
-def _min(x: Fraction, y: Fraction) -> Fraction:
-    return y if y.numerator * x.denominator < x.numerator * y.denominator else x
+def _max(x, y):
+    return y if x[0] * y[1] < y[0] * x[1] else x
 
 
-def _sum(x: Fraction, y: Fraction) -> Fraction:
-    # a zero operand gives the other value back without building a Fraction;
-    # otherwise one constructor call on the integers already read
-    yn = y.numerator
+def _min(x, y):
+    return y if y[0] * x[1] < x[0] * y[1] else x
+
+
+def _sum(x, y):
+    # a zero operand gives the other value back; otherwise the cross-multiplied sum, reduced
+    yn, yd = y
     if not yn:
         return x
-    xn = x.numerator
+    xn, xd = x
     if not xn:
         return y
-    xd, yd = x.denominator, y.denominator
-    return Fraction(xn * yd + yn * xd, xd * yd)
+    n, d = xn * yd + yn * xd, xd * yd
+    g = gcd(n, d)
+    return (n // g, d // g) if g != 1 else (n, d)
 
 
-def _diff(x: Fraction, y: Fraction) -> Fraction:
-    # a zero operand, or equal values, need no subtraction
-    yn = y.numerator
+def _diff(x, y):
+    # a zero operand needs no subtraction; equal values reduce to (0, 1) through the gcd
+    yn, yd = y
     if not yn:
         return x
-    xn = x.numerator
+    xn, xd = x
     if not xn:
-        return -y
-    xd, yd = x.denominator, y.denominator
-    if xn == yn and xd == yd:
-        return _ZERO
-    return Fraction(xn * yd - yn * xd, xd * yd)
+        return -yn, yd
+    n, d = xn * yd - yn * xd, xd * yd
+    g = gcd(n, d)
+    return (n // g, d // g) if g != 1 else (n, d)
 
 
 def _sparse_leq(pa, pb) -> bool:
@@ -369,33 +438,33 @@ def _sparse_leq(pa, pb) -> bool:
         ka, va = pa[i]
         kb, vb = pb[j]
         if ka == kb:
-            if va.numerator * vb.denominator > vb.numerator * va.denominator:
+            if va[0] * vb[1] > vb[0] * va[1]:
                 return False
             i += 1
             j += 1
         elif ka < kb:
-            if va.numerator > 0:
+            if va[0] > 0:
                 return False
             i += 1
         else:
-            if vb.numerator < 0:
+            if vb[0] < 0:
                 return False
             j += 1
-    return all(v.numerator <= 0 for _, v in pa[i:]) and all(v.numerator >= 0 for _, v in pb[j:])
+    return all(v[0] <= 0 for _, v in pa[i:]) and all(v[0] >= 0 for _, v in pb[j:])
 
 
 def _lex_sign(p) -> int:
     """-1, 0 or 1: the sign of the first nonzero coordinate of a lex pair."""
-    n = p[0].numerator or p[1].numerator
+    n = p[0][0] or p[1][0]
     return (n > 0) - (n < 0)
 
 
 def _lex_leq(pa, pb) -> bool:
-    (a0, a1), (b0, b1) = pa, pb
-    left, right = a0.numerator * b0.denominator, b0.numerator * a0.denominator
+    (an, ad), (bn, bd) = pa[0], pb[0]
+    left, right = an * bd, bn * ad
     if left != right:
         return left < right
-    return a1.numerator * b1.denominator <= b1.numerator * a1.denominator
+    return _le(pa[1], pb[1])
 
 
 def add(a: Element, b: Element) -> Element:
@@ -403,26 +472,40 @@ def add(a: Element, b: Element) -> Element:
 
 
 def sub(a: Element, b: Element) -> Element:
-    return _zip(a, b, _diff, _keep, operator.neg)
+    return _zip(a, b, _diff, _keep, _negate)
 
 
 def scale(c, a: Element) -> Element:
     """``c * a``: ``a`` itself for ``c = 1``, and zero values stay as they are."""
     c = _coerce(c)
-    if not c.numerator:
+    return _scale(c.numerator, c.denominator, a)
+
+
+def _scale(cn: int, cd: int, a: Element) -> Element:
+    """``scale`` by the value of the reduced pair ``(cn, cd)``."""
+    if not cn:
         return zero(a.space)
-    if c.numerator == c.denominator:
+    if cn == cd:
         return a
-    mul = c.__mul__
-    return _map(a, lambda v: mul(v) if v.numerator else v)
+
+    def mul(v):
+        n, d = v
+        if not n:
+            return v
+        n *= cn
+        d *= cd
+        g = gcd(n, d)
+        return (n // g, d // g) if g != 1 else (n, d)
+
+    return _map(a, mul)
 
 
 def leq(a: Element, b: Element) -> bool:
     _same_space(a, b)
     if isinstance(a.space, LexPlane):
-        return _lex_leq(a.payload, b.payload)
+        return _lex_leq(a._v, b._v)
     if isinstance(a.space, SparseSeq):
-        return _sparse_leq(a.payload, b.payload)
+        return _sparse_leq(a._v, b._v)
     return all(map(_le, _values(a), _values(b)))
 
 
@@ -431,43 +514,43 @@ def join(a: Element, b: Element) -> Element:
         # The lex order is total: the join is the larger pair, not the
         # componentwise maximum.
         _same_space(a, b)
-        return a if _lex_leq(b.payload, a.payload) else b
+        return a if _lex_leq(b._v, a._v) else b
     return _zip(a, b, _max, _pos_value, _pos_value)
 
 
 def meet(a: Element, b: Element) -> Element:
     if isinstance(a.space, LexPlane):
         _same_space(a, b)
-        return b if _lex_leq(b.payload, a.payload) else a
+        return b if _lex_leq(b._v, a._v) else a
     return _zip(a, b, _min, _neg_value, _neg_value)
 
 
 def is_positive(a: Element) -> bool:
-    """``0 <= a``, read from the signs of the payload in one pass."""
+    """``0 <= a``, read from the signs of the values in one pass."""
     if isinstance(a.space, LexPlane):
-        return _lex_sign(a.payload) >= 0
+        return _lex_sign(a._v) >= 0
     return all(map(_nonneg, _values(a)))
 
 
 def pos(a: Element) -> Element:
     """Positive part ``a v 0``, value by value."""
     if isinstance(a.space, LexPlane):
-        return a if _lex_sign(a.payload) >= 0 else zero(a.space)
+        return a if _lex_sign(a._v) >= 0 else zero(a.space)
     if isinstance(a.space, SparseSeq):  # the sign filter drops the zeros
-        return Element(a.space, tuple(kv for kv in a.payload if kv[1].numerator > 0))
+        return _from_pairs(a.space, tuple(kv for kv in a._v if kv[1][0] > 0))
     return _map(a, _pos_value)
 
 
 def neg(a: Element) -> Element:
     """Negative part ``(-a) v 0``, value by value; always >= 0, with ``a = pos(a) - neg(a)``."""
     if isinstance(a.space, LexPlane):
-        return -a if _lex_sign(a.payload) < 0 else zero(a.space)
+        return -a if _lex_sign(a._v) < 0 else zero(a.space)
     if isinstance(a.space, SparseSeq):
-        return Element(a.space, tuple((k, -v) for k, v in a.payload if v.numerator < 0))
+        return _from_pairs(a.space, tuple((k, (-v[0], v[1])) for k, v in a._v if v[0] < 0))
     return _map(a, _neg_part)
 
 
-def _to_zero(v: Fraction) -> Fraction:
+def _to_zero(v):
     return _ZERO
 
 
@@ -475,7 +558,7 @@ def shifted_pos(x: Element, lam: Fraction, u: Element) -> Element:
     """``(x + lam*u)+ - max(lam, 0)*u`` for ``u >= 0`` and rational ``lam != 0``.
 
     That is ``x v (-lam*u)`` for ``lam > 0`` and ``(x - |lam|*u)+`` for
-    ``lam < 0``, computed value by value in one pass over the payloads.  A
+    ``lam < 0``, computed value by value in one pass over the layouts.  A
     value the clip leaves alone is ``x``'s own value or the module zero; a
     value is built only where the clip binds, and where ``u`` is 1 the clip
     for ``lam > 0`` is ``-lam`` itself.  In the sparse merge an index in
@@ -485,55 +568,98 @@ def shifted_pos(x: Element, lam: Fraction, u: Element) -> Element:
     ``lam > 0`` a positive ``x`` is its own result, and for ``lam < 0`` a
     negative one gives 0.
     """
+    ln, ld = lam.numerator, lam.denominator
     if isinstance(x.space, LexPlane):
         _same_space(x, u)
-        sign = _lex_sign(x.payload)
-        if lam.numerator > 0:
+        sign = _lex_sign(x._v)
+        if ln > 0:
             if sign >= 0:
                 return x
-            lower = scale(-lam, u)
-            return x if _lex_leq(lower.payload, x.payload) else lower
+            lower = _scale(-ln, ld, u)
+            return x if _lex_leq(lower._v, x._v) else lower
         if sign <= 0:
             return zero(x.space)
-        d = sub(x, scale(-lam, u))
-        return d if _lex_sign(d.payload) >= 0 else zero(x.space)
-    ln, ld = lam.numerator, lam.denominator
+        d = sub(x, _scale(-ln, ld, u))
+        return d if _lex_sign(d._v) >= 0 else zero(x.space)
     if ln > 0:
         nln = -ln
-        floor = None  # -lam, built at the first coordinate where u is 1 and the clip binds
+        floor = (nln, ld)  # -lam, the clip where u is 1
 
-        def clip(v: Fraction, w: Fraction) -> Fraction:
+        def clip(v, w):
             # max(v, -lam*w); v < -lam*w is cross-multiplied over positive denominators
-            nonlocal floor
-            vn = v.numerator
+            vn, vd = v
             if vn >= 0:
                 return v
-            wn = w.numerator
+            wn, wd = w
             if not wn:
                 return _ZERO
-            wd = w.denominator
-            if vn * ld * wd >= nln * wn * v.denominator:
+            if vn * ld * wd >= nln * wn * vd:
                 return v
-            if wn != wd:
-                return Fraction(nln * wn, ld * wd)
-            if floor is None:
-                floor = Fraction(nln, ld)
-            return floor
+            if wn == wd:
+                return floor
+            n, d = nln * wn, ld * wd
+            g = gcd(n, d)
+            return n // g, d // g
     else:
         cn = -ln
 
-        def clip(v: Fraction, w: Fraction) -> Fraction:
+        def clip(v, w):
             # max(v - |lam|*w, 0), built from the cross-multiplied comparison's own products
-            vn = v.numerator
+            vn, vd = v
             if vn <= 0:
                 return _ZERO
-            wn = w.numerator
+            wn, wd = w
             if not wn:
                 return v
-            vd, wd = v.denominator, w.denominator
             left, right = vn * ld * wd, cn * wn * vd
-            return Fraction(left - right, vd * ld * wd) if left > right else _ZERO
+            if left <= right:
+                return _ZERO
+            n, d = left - right, vd * ld * wd
+            g = gcd(n, d)
+            return n // g, d // g
     return _zip(x, u, clip, _pos_value, _to_zero)
+
+
+# ---------------------------------------------------------------------------
+# The arms other modules reach values through
+# ---------------------------------------------------------------------------
+
+def _meet_one(x: Element) -> Element:
+    """``v ^ 1`` at each support value of a sparse ``x >= 0``: the meet with the constant 1."""
+    return _from_pairs(x.space, tuple(kv if kv[1][0] < kv[1][1] else (kv[0], _ONE) for kv in x._v))
+
+
+def _shifted_pos_one(x: Element, lam: Fraction) -> Element:
+    """``shifted_pos`` with the constant 1 for ``u``, on a sparse ``x``.
+
+    ``max(v, -lam)`` at each support value for ``lam > 0``; for ``lam < 0``,
+    ``v - |lam|`` where ``v > |lam|``, and the other indices drop out.
+    """
+    ln, ld = lam.numerator, lam.denominator
+    if ln > 0:
+        floor, nln = (-ln, ld), -ln
+        return _from_pairs(
+            x.space, tuple(kv if kv[1][0] * ld >= nln * kv[1][1] else (kv[0], floor) for kv in x._v)
+        )
+    cn = -ln
+    out = []
+    for k, (vn, vd) in x._v:
+        n = vn * ld - cn * vd
+        if n > 0:
+            d = vd * ld
+            g = gcd(n, d)
+            out.append((k, (n // g, d // g)))
+    return _from_pairs(x.space, tuple(out))
+
+
+def _within_one(x: Element) -> bool:
+    """Whether ``|v| <= 1`` at each value of ``x``."""
+    return all(abs(n) <= d for n, d in _values(x))
+
+
+def _mask(x: Element, coords: frozenset[int]) -> Element:
+    """A ``FinitePointwise`` element with the values off the 1-based ``coords`` set to 0."""
+    return _from_pairs(x.space, tuple(v if i in coords else _ZERO for i, v in enumerate(x._v, 1)))
 
 
 def sup_finite(elements: Iterable[Element]) -> Element:
@@ -646,14 +772,19 @@ def space_from_json(obj) -> Space:
     raise DescriptorError(f"unknown space name {name!r}")
 
 
+def _wire(v) -> str:
+    # format_rational's canonical "p/q", read from the pair
+    return f"{v[0]}/{v[1]}"
+
+
 def element_to_json(a: Element):
     match a.space:
         case FinitePointwise() | LexPlane():
-            return [format_rational(v) for v in a.payload]
+            return [_wire(v) for v in a._v]
         case SparseSeq():
-            return {str(k): format_rational(v) for k, v in a.payload}
+            return {str(k): _wire(v) for k, v in a._v}
         case IdentityLine():
-            return format_rational(a.payload)
+            return _wire(a._v)
 
 
 def element_from_json(space: Space, obj) -> Element:

@@ -34,7 +34,6 @@ checks below, the DSL evaluator and the repros run on either lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import DescriptorError, NegativeInput, PreconditionViolated, SpaceMismatch
@@ -46,6 +45,10 @@ from .spaces import (
     LexPlane,
     Space,
     SparseSeq,
+    _meet_one,
+    _scalars,
+    _shifted_pos_one,
+    _within_one,
     element_from_json,
     element_to_json,
     is_positive,
@@ -64,8 +67,6 @@ from .spaces import (
 
 if TYPE_CHECKING:
     from .unitization import UnitizationCtx
-
-_ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +186,7 @@ def truncate(t: TruncationSpec, x: Element) -> Element:
         case MeetWithUnit(unit=u):
             return meet(x, u)
         case MeetWithOne():
-            # v < 1 exactly when its numerator is below its (positive) denominator
-            return Element(
-                x.space, tuple((k, v if v.numerator < v.denominator else _ONE) for k, v in x.payload)
-            )
+            return _meet_one(x)
         case IdentityTruncation():
             return x
         case FixtureTruncation(fn=fn):
@@ -228,26 +226,7 @@ def pos_base(t: TruncationSpec, x: Element, lam) -> Element:
         case MeetWithUnit(unit=u):
             return shifted_pos(x, lam, u)
         case MeetWithOne():
-            ln, ld = lam.numerator, lam.denominator
-            if ln > 0:
-                # v >= -lam by cross-multiplication: both denominators are positive
-                floor, nln = -lam, -ln
-                return Element(
-                    x.space,
-                    tuple(
-                        kv if kv[1].numerator * ld >= nln * kv[1].denominator else (kv[0], floor)
-                        for kv in x.payload
-                    ),
-                )
-            cn = -ln
-            return Element(
-                x.space,
-                tuple(
-                    (k, Fraction(v.numerator * ld - cn * v.denominator, v.denominator * ld))
-                    for k, v in x.payload
-                    if v.numerator * ld > cn * v.denominator
-                ),
-            )
+            return _shifted_pos_one(x, lam)
         case IdentityTruncation():
             return x if lam.numerator > 0 else zero(x.space)
         case FixtureTruncation():
@@ -271,7 +250,7 @@ def in_fixed_set(t: TruncationSpec, x: Element) -> bool:
         case MeetWithUnit(unit=u):
             return leq(abs(x), u)
         case MeetWithOne():
-            return all(abs(v.numerator) <= v.denominator for _, v in x.payload)
+            return _within_one(x)
         case IdentityTruncation():
             return True
     a = abs(x)
@@ -350,13 +329,13 @@ def check_tau3(t: TruncationSpec, samples: Sequence[Element], bound: int = 100) 
             return Decision(True, "n*x <= 1 componentwise for every n forces each coordinate to 0")
         case MeetWithUnit(unit=u):
             if isinstance(t.space, LexPlane):
-                if u.payload[0] > 0:
+                u0, u1 = _scalars(u)
+                if u0 > 0:
                     return Decision(
                         False,
                         "n*(0,1) <= u holds for every n because the unit's first coordinate is positive",
                         (lexpair(0, 1),),
                     )
-                u0, u1 = u.payload
                 return Decision(
                     True, f"n*x <= ({u0},{u1}) for every n forces the first coordinate to 0, then the second"
                 )

@@ -45,9 +45,6 @@ from .spaces import (
     IdentityLine,
     Space,
     SparseSeq,
-    _ZERO,
-    _diff,
-    _sum,
     element_from_json,
     element_to_json,
     line,
@@ -61,19 +58,62 @@ from .truncation import TruncationSpec, in_fixed_set, pos_base
 from .report import LawReport
 
 
-@dataclass(frozen=True)
+_ZERO = Fraction(0)
+
+
+def _lam_sum(x: Fraction, y: Fraction) -> Fraction:
+    # a zero operand gives the other value back without building a Fraction;
+    # otherwise one constructor call on the integers already read
+    yn = y.numerator
+    if not yn:
+        return x
+    xn = x.numerator
+    if not xn:
+        return y
+    xd, yd = x.denominator, y.denominator
+    return Fraction(xn * yd + yn * xd, xd * yd)
+
+
+def _lam_diff(x: Fraction, y: Fraction) -> Fraction:
+    # a zero operand, or equal values, need no subtraction
+    yn = y.numerator
+    if not yn:
+        return x
+    xn = x.numerator
+    if not xn:
+        return -y
+    xd, yd = x.denominator, y.denominator
+    if xn == yn and xd == yd:
+        return _ZERO
+    return Fraction(xn * yd - yn * xd, xd * yd)
+
+
 class UnitizedElement:
-    """``e + lam * 1`` with ``e`` in the base space."""
+    """``e + lam * 1`` with ``e`` in the base space and the ``Fraction`` ``lam``."""
 
-    e: Element
-    lam: Rational
+    __slots__ = ("e", "lam")
 
-    # the scalar part takes the base kernel's zero-operand shortcuts: no new Fraction for lam = 0
+    def __init__(self, e: Element, lam: Rational) -> None:
+        self.e = e
+        self.lam = lam
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not UnitizedElement:
+            return NotImplemented
+        return (self.e, self.lam) == (other.e, other.lam)
+
+    def __hash__(self) -> int:
+        return hash((self.e, self.lam))
+
+    def __repr__(self) -> str:
+        return f"UnitizedElement(e={self.e!r}, lam={self.lam!r})"
+
+    # the scalar part takes zero-operand shortcuts: no new Fraction for lam = 0
     def __add__(self, other: "UnitizedElement") -> "UnitizedElement":
-        return UnitizedElement(self.e + other.e, _sum(self.lam, other.lam))
+        return UnitizedElement(self.e + other.e, _lam_sum(self.lam, other.lam))
 
     def __sub__(self, other: "UnitizedElement") -> "UnitizedElement":
-        return UnitizedElement(self.e - other.e, _diff(self.lam, other.lam))
+        return UnitizedElement(self.e - other.e, _lam_diff(self.lam, other.lam))
 
     def __neg__(self) -> "UnitizedElement":
         return UnitizedElement(-self.e, -self.lam)

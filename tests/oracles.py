@@ -38,10 +38,11 @@ The module also keeps these references:
   for a meet with ``u``, ``min(v, c)`` for ``meet_with_one``, ``p`` for the
   identity and the definition for a fixture, against which the one-pass base
   part ``pos(x) - c tr(p / c)`` of ``trunclat.truncation.pos_base`` is checked;
-* the sampler's rational and element draws as first written, through
-  ``Random.randint`` and ``Random.sample``, against which the ``getrandbits``
-  replays of ``SampleGen.rational`` and ``SampleGen._draw`` are checked, value
-  by value and stream position by stream position;
+* the sampler's rational, element, positive and cone draws as first
+  written, through ``Random.randint`` and ``Random.sample``, against which
+  the ``getrandbits`` replays of ``SampleGen.rational``, ``SampleGen._draw``,
+  ``SampleGen.positive`` and ``SampleGen.positive_unitized`` are checked,
+  value by value and stream position by stream position;
 * the DSL's tree-walking evaluator, which re-matches every node on every
   call, against which the compile-once evaluator of ``trunclat.dsl`` is
   checked, values and errors alike.
@@ -73,9 +74,11 @@ from trunclat import (
     join,
     leq,
     leq_u,
+    lexpair,
     meet,
     neg,
     pos,
+    pos_u,
     scale,
     sparse,
     sup_finite,
@@ -335,6 +338,31 @@ def ref_draw(rng, space, nonneg: bool):
         return ref_rational(rng, nonneg=nonneg)
     n = 2 if isinstance(space, LexPlane) else space.dim
     return tuple(ref_rational(rng, nonneg=nonneg) for _ in range(n))
+
+
+def ref_positive(rng, space) -> Element:
+    """``SampleGen.positive`` on the stream of ``rng``: on the lex plane a
+    second-axis positive when ``randint(0, 3)`` is 0, else a pair with a
+    positive first coordinate."""
+    if isinstance(space, LexPlane):
+        if rng.randint(0, 3) == 0:
+            return lexpair(0, ref_rational(rng, nonneg=True))
+        return lexpair(ref_rational(rng, nonneg=True, nonzero=True), ref_rational(rng))
+    return Element(space, ref_draw(rng, space, True))
+
+
+def ref_positive_unitized(rng, ctx: UnitizationCtx) -> UnitizedElement:
+    """``SampleGen.positive_unitized`` on the stream of ``rng``, branch drawn by ``randint(0, 3)``."""
+    branch = rng.randint(0, 3)
+    if branch == 0:
+        return ctx.embed(ref_positive(rng, ctx.space))
+    if branch == 1:
+        return ctx.scalar(ref_rational(rng, nonneg=True))
+    if branch == 2:
+        lam = ref_rational(rng, nonneg=True, nonzero=True)
+        return pos_u(ctx, UnitizedElement(Element(ctx.space, ref_draw(rng, ctx.space, False)), lam))
+    x = Element(ctx.space, ref_draw(rng, ctx.space, False))
+    return abs_u(ctx, UnitizedElement(x, ref_rational(rng)))
 
 
 def ref_eval(term, env, lat):

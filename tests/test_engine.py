@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from trunclat import (
     EmptySet,
+    IdentityLine,
     LexPlane,
     FinitePointwise,
     MeetWithUnit,
@@ -38,6 +39,7 @@ from trunclat import (
     in_unitized_band,
     leq_u,
     lexpair,
+    line,
     meet,
     meet_u,
     parse_rational,
@@ -101,6 +103,15 @@ def test_unitization_archimedean_decisions():
 def test_unitization_archimedean_undecided_without_closed_form():
     space = FinitePointwise(2)
     ctx = unitize(truncation(space, MeetWithUnit(fp(1, 0))))
+    assert unitization_archimedean(ctx) == Decision(None)
+    # a unit with every coordinate positive has the closed form; a zero coordinate has none
+    ctx = unitize(truncation(FinitePointwise(3), MeetWithUnit(fp(1, 2, 3))))
+    assert unitization_archimedean(ctx) == Decision(
+        True, "weighted pointwise order on finitely many points plus infinity"
+    )
+    ctx = unitize(truncation(IdentityLine(), MeetWithUnit(line(2))))
+    assert unitization_archimedean(ctx) == Decision(True, "weighted pointwise order on one point plus infinity")
+    ctx = unitize(truncation(IdentityLine(), MeetWithUnit(line(0))))
     assert unitization_archimedean(ctx) == Decision(None)
 
 

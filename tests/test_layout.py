@@ -3,7 +3,9 @@
 In ``spaces.py`` only the payload walkers (``_map``, ``_zip``, ``_values``),
 ``zero`` and the wire-format functions may dispatch on ``FinitePointwise`` or
 ``IdentityLine``, by a ``case`` pattern or an ``isinstance`` call; every other
-function reaches the dense and scalar layouts through a walker.  In
+function reaches the dense and scalar layouts through a walker.  No other
+module reads an element's layout (``.payload``, or the reduced pairs in
+``._v``): it reaches values through ``spaces`` primitives.  In
 ``sampling.py`` one ``match`` on the space draws every element.  No module
 reads the private internals of ``Fraction`` (``_numerator``,
 ``_denominator``, ``_normalize``, ``_from_coprime_ints``): they belong to one
@@ -30,6 +32,8 @@ LAYOUT_READERS = frozenset({
     "element_from_json",
 })
 
+
+LAYOUT_ATTRS = frozenset({"payload", "_v"})
 
 FRACTION_PRIVATES = frozenset({"_numerator", "_denominator", "_normalize", "_from_coprime_ints"})
 
@@ -99,6 +103,15 @@ def fraction_internals(tree: ast.AST) -> list[str]:
     return [f"{name}:{line}" for line, name in sorted(found)]
 
 
+def layout_reads(tree: ast.AST) -> list[str]:
+    """``name:line`` for each read of an attribute in ``LAYOUT_ATTRS``."""
+    return [
+        f"{node.attr}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in LAYOUT_ATTRS
+    ]
+
+
 def law_body_imports(tree: ast.AST) -> list[str]:
     """``name:line`` for each import of a name in ``LAW_BODY_NAMES``."""
     return [
@@ -144,6 +157,23 @@ def test_detects_fraction_internals():
         "numerator = 1\n"
     )
     assert fraction_internals(tree) == ["_numerator:2", "_normalize:3", "_from_coprime_ints:4"]
+
+
+def test_only_spaces_reads_the_element_layout():
+    modules = sorted(name for name in os.listdir(SRC) if name.endswith(".py") and name != "spaces.py")
+    assert "engine.py" in modules and "truncation.py" in modules
+    found = [f"{module}:{hit}" for module in modules for hit in layout_reads(_parse(module))]
+    assert not found, f"an element layout is read outside spaces.py at {', '.join(found)}"
+
+
+def test_detects_layout_reads():
+    tree = ast.parse(
+        "def f(u, payload):\n"
+        "    if u.payload[0] > 0:\n"
+        "        return payload\n"
+        "    return [n for n, d in u._v]\n"
+    )
+    assert layout_reads(tree) == ["payload:2", "_v:4"]
 
 
 def test_only_the_walkers_read_dense_and_scalar_layouts():

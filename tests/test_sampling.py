@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from oracles import ref_draw, ref_rational
+from oracles import ref_draw, ref_positive, ref_positive_unitized, ref_rational
 
 from trunclat import (
     FinitePointwise,
@@ -175,3 +175,31 @@ def test_draw_makes_no_randint_or_sample_call(monkeypatch):
         for _ in range(50):
             gen._draw(False)
             gen._draw(True)
+
+
+@pytest.mark.parametrize("name", sorted(catalog()))
+def test_branch_draws_make_no_randint_call_and_replay_it(name, monkeypatch):
+    # SampleGen.randint, the lex plane's positive() and positive_unitized's branch
+    # draw the getrandbits calls of Random.randint without calling it
+    ctx = catalog()[name]
+    gen = SampleGen(2024, ctx.space)
+    with monkeypatch.context() as patched:
+
+        def refuse(self, a, b):
+            raise AssertionError("a draw called Random.randint")
+
+        patched.setattr(random.Random, "randint", refuse)
+        draws = [
+            (gen.randint(-5, 9), gen.positive(), gen.positive_unitized(ctx), gen.index_subset(9))
+            for _ in range(150)
+        ]
+        position = gen._rng.getrandbits(32)
+    ref = random.Random(gen.seed)
+    for drawn in draws:
+        assert drawn == (
+            ref.randint(-5, 9),
+            ref_positive(ref, ctx.space),
+            ref_positive_unitized(ref, ctx),
+            ref.sample(range(1, 10), ref.randint(0, 9)),
+        )
+    assert position == ref.getrandbits(32)

@@ -43,6 +43,7 @@ from trunclat import (
     meet,
     neg,
     pos,
+    pos_base,
     space_from_json,
     add,
     scale,
@@ -140,8 +141,54 @@ def test_sparse_canonical_form():
     assert sparse({3: 1, 1: 2}).payload == ((1, Fraction(2)), (3, Fraction(1)))
     with pytest.raises(ValueError):
         sparse({0: 1})
+    with pytest.raises(ValueError):
+        sparse({True: 1})  # a bool is an int to isinstance, but no index
+    with pytest.raises(ValueError):
+        sparse([(2, 1), (True, 5)])
     with pytest.raises(TypeError):
         fp(1.5, 2)  # floats are rejected
+
+
+def test_fraction_boundary():
+    # Fractions (or ints) in, Fractions out; equal values give equal elements however they were built
+    x = Element(FinitePointwise(2), (Fraction(2, 4), 3))
+    assert x == fp(Fraction(1, 2), 3) == add(fp(Fraction(1, 6), 1), fp(Fraction(1, 3), 2))
+    assert hash(x) == hash(add(fp(Fraction(1, 6), 1), fp(Fraction(1, 3), 2)))
+    assert add(fp(1, 2), fp(3, 4)).payload == (Fraction(4), Fraction(6))
+    assert sub(sparse({2: Fraction(1, 3)}), sparse({2: Fraction(1, 3), 5: -1})).payload == ((5, Fraction(1)),)
+    assert repr(fp(1, Fraction(1, 2))) == (
+        "Element(space=FinitePointwise(dim=2), payload=(Fraction(1, 1), Fraction(1, 2)))"
+    )
+    assert repr(line(-3)) == "Element(space=IdentityLine(), payload=Fraction(-3, 1))"
+
+
+def test_kernel_builds_no_fraction(monkeypatch):
+    """The primitives compute on reduced int pairs: no Fraction is built on the way."""
+    cases = []
+    for ctx in catalog().values():
+        gen = SampleGen(8, ctx.space)
+        xs = [gen.element() for _ in range(30)]
+        cs = [gen.rational() for _ in range(30)]
+        cases.append((ctx, xs, cs, [gen.positive() for _ in range(30)]))
+
+    def outputs(ctx, xs, cs, ps):
+        out = []
+        for a, b, c in zip(xs, xs[1:], cs):
+            out += [add(a, b), sub(a, b), scale(c, a), -a, abs(a), pos(a), neg(a)]
+            out += [leq(a, b), join(a, b), meet(a, b), spaces.is_positive(a), a == b]
+            if c:
+                out.append(pos_base(ctx.trunc, a, c))
+        out += [truncate(ctx.trunc, p) for p in ps]
+        out += [ctx.trunc.in_fixed(x) for x in xs]
+        return out
+
+    expected = [outputs(*case) for case in cases]
+
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("a Fraction was built inside the kernel")
+
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    assert [outputs(*case) for case in cases] == expected
 
 
 # -- sampled lattice laws ----------------------------------------------------
