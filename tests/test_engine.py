@@ -439,7 +439,8 @@ def test_ruc_space_holds_on_real_c00_only():
     decision = ruc_space(SparseSeq())
     assert decision.holds is True and decision.bound == 0
     assert "not c00 over Q" in decision.reason
-    assert ruc_space(FinitePointwise(3)).holds is None and ruc_space(LexPlane()).holds is None
+    for space in (FinitePointwise(3), LexPlane(), IdentityLine()):
+        assert ruc_space(space).holds is None, space
     row = engine.run_law(SPARSE, "ruc.space", 2, 10)
     assert (row.verdict, row.trials, row.detail) == ("pass", 0, f"symbolic: {decision.reason}")
 

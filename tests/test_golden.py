@@ -3,7 +3,8 @@
 The repro hashes are read from README's table, so README stays the single
 source of truth; the catalog hashes pin ``check --format json --seed 42
 --trials 200`` for each cataloged configuration, and the assertion hashes pin
-the same run with the configuration's shipped ``.law`` file.
+the same run with the configuration's shipped ``.law`` file, and the
+off-catalog hashes pin the same run with a unit the catalog does not use.
 """
 
 import hashlib
@@ -79,6 +80,49 @@ def test_check_json_report_hash(run, capsys):
     config, pin = CHECK_RUNS[run]
     argv = ["check", *config, "--format", "json", "--seed", "42", "--trials", "200"]
     assert main(argv) == 0
+    assert _sha16(capsys.readouterr().out) == pin
+
+
+# Configurations the catalog pins never reach: the same run with a non-catalog unit.
+# Each run: its flags, the report pin, and the exit code (1 where a theorem row
+# refutes on a map that is not a truncation).  Together they reach the
+# unitization_archimedean arms for the pointwise space, the line and the
+# undecided case, the tau3 lex arm with u0 > 0, and the line arms of
+# thm11.density and the orthocomplement separator.
+OFF_CATALOG_RUNS = {
+    "finite_pointwise:4-unit-1020": (
+        ["--space", "finite_pointwise:4", "--trunc", '{"kind":"meet_with_unit","unit":["1","0","2","0"]}'],
+        "20c279c4169977ac",
+        1,
+    ),
+    "finite_pointwise:2-unit-half-3": (
+        ["--space", "finite_pointwise:2", "--trunc", '{"kind":"meet_with_unit","unit":["1/2","3"]}'],
+        "cd646ffca17ce469",
+        0,
+    ),
+    "identity_line-unit-2": (
+        ["--space", "identity_line", "--trunc", '{"kind":"meet_with_unit","unit":"2"}'],
+        "31f45ded477bc2f8",
+        0,
+    ),
+    "lex_plane-unit-10": (
+        ["--space", "lex_plane", "--trunc", '{"kind":"meet_with_unit","unit":["1","0"]}'],
+        "5b519721cc31a329",
+        0,
+    ),
+    "sparse_seq-unit-1-3": (
+        ["--space", "sparse_seq", "--trunc", '{"kind":"meet_with_unit","unit":{"1":"1","3":"2"}}'],
+        "f880bc9b779824a3",
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("run", sorted(OFF_CATALOG_RUNS))
+def test_off_catalog_json_report_hash(run, capsys):
+    config, pin, code = OFF_CATALOG_RUNS[run]
+    argv = ["check", *config, "--format", "json", "--seed", "42", "--trials", "200"]
+    assert main(argv) == code
     assert _sha16(capsys.readouterr().out) == pin
 
 
