@@ -31,7 +31,7 @@ from .engine import cataloged_truncation, derive_seed, expected_violations, run_
 from .errors import DslError, TrunclatError
 from .report import PASS, REFUTED, LawReport, render_table, reports_to_jsonl
 from .sampling import SampleGen
-from .spaces import FinitePointwise, SparseSeq, element_from_json, space_from_json
+from .spaces import element_from_json, space_from_json, space_from_text
 from .truncation import truncation_from_json
 from .unitization import UnitizationCtx, unitize, unitized_from_json
 
@@ -48,43 +48,24 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_space(text: str | None):
-    if text is None:
-        return SparseSeq()
-    text = text.strip()
+    text = "sparse_seq" if text is None else text.strip()
     try:
         if text.startswith("{"):
             return space_from_json(json.loads(text))
+        return space_from_text(text)
     except (json.JSONDecodeError, TrunclatError) as exc:
         raise CliError(f"bad space descriptor: {exc}") from exc
-    name, _, arg = text.partition(":")
-    if name in ("sparse_seq", "lex_plane", "identity_line"):
-        return space_from_json({"space": name})
-    if name == "finite_pointwise":
-        try:
-            return FinitePointwise(int(arg) if arg else 3)
-        except ValueError as exc:
-            raise CliError(f"bad dimension {arg!r}") from exc
-    raise CliError(f"unknown space {text!r}")
 
 
 def _parse_trunc(space, text: str | None):
-    if text is None:
+    # a kind named alone is the space's cataloged truncation, the one kind it admits besides a unit's meet
+    text = space.trunc_kind if text is None else text.strip()
+    if text == space.trunc_kind:
         return cataloged_truncation(space)
-    text = text.strip()
     try:
-        if text.startswith("{"):
-            return truncation_from_json(space, json.loads(text))
-        if text in ("meet_with_one", "lex_meet_zero_one", "identity"):
-            return truncation_from_json(space, {"kind": text})
-        if text == "meet_with_unit":
-            if isinstance(space, FinitePointwise):
-                return cataloged_truncation(space)
-            raise CliError(
-                "meet_with_unit needs an explicit unit on this space; pass a JSON descriptor"
-            )
+        return truncation_from_json(space, json.loads(text) if text.startswith("{") else {"kind": text})
     except (json.JSONDecodeError, ValueError, TrunclatError) as exc:
         raise CliError(f"bad truncation descriptor: {exc}") from exc
-    raise CliError(f"unknown truncation {text!r}")
 
 
 def _run_assertion_file(path: str, cli_lat: Lattice, seed: int, trials: int) -> list[LawReport]:
@@ -180,8 +161,7 @@ def cmd_eval(args) -> int:
 
 def _config_context(config: str) -> UnitizationCtx:
     """The ``check --space config`` configuration, with its cataloged truncation."""
-    space = _parse_space(config)
-    return UnitizationCtx(space, cataloged_truncation(space))
+    return unitize(_parse_trunc(_parse_space(config), None))
 
 
 @dataclass(frozen=True)

@@ -33,24 +33,19 @@ from .rational import Rational, coerce_rational, format_rational
 from .report import PASS, LawReport
 from .sampling import SampleGen
 from .spaces import (
+    SPACE_CLASSES,
     Element,
     FinitePointwise,
-    IdentityLine,
-    LexPlane,
     Space,
-    SparseSeq,
     _mask,
     _scalars,
     coeff,
     decompose_chain,
     check_chain_sup_additivity,
     element_to_json,
-    fp_const,
     is_positive,
     join,
     leq,
-    lexpair,
-    line,
     meet,
     scale,
     sparse,
@@ -73,7 +68,7 @@ from .truncation import (
     multiples_fixed,
     prop22_failure,
     truncate,
-    truncation,
+    truncation_from_json,
 )
 from .unitization import (
     UnitizationCtx,
@@ -105,28 +100,12 @@ LawContext = UnitizationCtx
 
 def cataloged_truncation(space: Space) -> TruncationSpec:
     """Each space's default truncation: the one the catalog and ``check`` use."""
-    match space:
-        case SparseSeq():
-            kind = MeetWithOne()
-        case LexPlane():
-            kind = MeetWithUnit(lexpair(0, 1))
-        case IdentityLine():
-            kind = IdentityTruncation()
-        case FinitePointwise(dim=dim):
-            kind = MeetWithUnit(fp_const(dim, 1))
-        case _:
-            raise TypeError(f"no cataloged truncation on {space!r}")
-    return truncation(space, kind)
+    return truncation_from_json(space, space.catalog_trunc)
 
 
 def catalog(fp_dim: int = 3) -> dict[str, UnitizationCtx]:
-    """The four cataloged (space, truncation) pairs."""
-    spaces = {
-        "sparse_seq": SparseSeq(),
-        "lex_plane": LexPlane(),
-        "identity_line": IdentityLine(),
-        "finite_pointwise": FinitePointwise(fp_dim),
-    }
+    """The four cataloged (space, truncation) pairs; ``fp_dim`` fills the one space field, a dimension."""
+    spaces = {name: cls(fp_dim) if cls.__match_args__ else cls() for name, cls in SPACE_CLASSES.items()}
     return {name: UnitizationCtx(space, cataloged_truncation(space)) for name, space in spaces.items()}
 
 
@@ -154,12 +133,9 @@ def expected_violations(ctx: UnitizationCtx) -> frozenset[str]:
 
 def archimedean_check(space: Space) -> Decision:
     """Decide whether ``0 <= n*x <= y`` for all n forces ``x = 0`` in the bare order of ``space``."""
-    if isinstance(space, LexPlane):
-        return Decision(
-            False,
-            "the first coordinate dominates: n*(0,1) <= (1,0) for every n",
-            (lexpair(0, 1), lexpair(1, 0)),
-        )
+    pair = space.non_archimedean  # on the lex plane, (0,1) and (1,0)
+    if pair is not None:
+        return Decision(False, "the first coordinate dominates: n*(0,1) <= (1,0) for every n", pair)
     return Decision(True, "componentwise rational order")
 
 
@@ -190,19 +166,15 @@ def unitization_archimedean(ctx: UnitizationCtx) -> Decision:
             return Decision(
                 False,
                 "every positive multiple of the axis stays below the unit",
-                (ctx.embed(line(1)), ctx.one),
+                (ctx.embed(ctx.space.fresh_atom(1)), ctx.one),
             )
         case MeetWithUnit(unit=u):
-            if isinstance(ctx.space, LexPlane):
-                return Decision(
-                    False,
-                    "the base is already non-Archimedean",
-                    (ctx.embed(lexpair(0, 1)), ctx.embed(lexpair(1, 0))),
-                )
-            if isinstance(ctx.space, FinitePointwise) and all(v > 0 for v in _scalars(u)):
-                return Decision(True, "weighted pointwise order on finitely many points plus infinity")
-            if isinstance(ctx.space, IdentityLine) and all(v > 0 for v in _scalars(u)):
-                return Decision(True, "weighted pointwise order on one point plus infinity")
+            pair = ctx.space.non_archimedean
+            if pair is not None:
+                return Decision(False, "the base is already non-Archimedean", tuple(map(ctx.embed, pair)))
+            points = ctx.space.points
+            if points is not None and all(v > 0 for v in _scalars(u)):
+                return Decision(True, f"weighted pointwise order on {points} plus infinity")
     return Decision(None)
 
 
@@ -211,17 +183,15 @@ def unitization_archimedean(ctx: UnitizationCtx) -> Decision:
 # ---------------------------------------------------------------------------
 
 def _thm33_targeted(ctx: UnitizationCtx, x: UnitizedElement, z: UnitizedElement):
-    """Base elements below ``x`` whose truncation is likely to escape ``z``."""
-    if not isinstance(ctx.space, SparseSeq):
+    """Base elements below ``x`` whose meet with one may escape ``z``: atoms on either support, and a fresh one."""
+    if not isinstance(ctx.trunc.kind, MeetWithOne):
         return
-    indices = sorted(set(support(x.e)) | set(support(z.e)))
-    for k in indices:
+    for k in sorted(set(support(x.e)) | set(support(z.e))):
         value = coeff(x.e, k) + x.lam
         if value > 0:
             yield sparse({k: value})
     if x.lam > 0:
-        fresh = (indices[-1] if indices else 0) + 1
-        yield sparse({fresh: x.lam})
+        yield ctx.space.fresh_atom(x.lam, x.e, z.e)
 
 
 def check_thm33_sup(
@@ -378,7 +348,7 @@ def default_limit_candidates() -> tuple[UnitizedElement, ...]:
     def ue(e: Element, lam) -> UnitizedElement:
         return UnitizedElement(e, Fraction(lam))
 
-    z = zero(SparseSeq())
+    z = sparse()
     out = [
         ue(z, 1),
         ue(z, Fraction(1, 2)),
@@ -421,7 +391,7 @@ def repro_example43(
     support up to ``n0`` is off by exactly ``1/(n0+1)`` at the next index.
     All evaluations are exact.
     """
-    if not isinstance(ctx.space, SparseSeq):
+    if not ctx.space.c00:
         raise PreconditionViolated("the harmonic-prefix reproduction lives on SparseSeq")
     eps_list = [Fraction(e) for e in eps_list]
     if any(e <= 0 for e in eps_list):
@@ -475,7 +445,7 @@ def ruc_space(space: Space) -> Decision:
     on, every ``x_n - x_N`` lies in the span of ``supp(u)``: a
     finite-dimensional band, where uniform and coordinatewise limits agree.
     """
-    if not isinstance(space, SparseSeq):
+    if not space.c00:
         return Decision(None)
     return Decision(
         True, "real c00, not c00 over Q: u-uniformly Cauchy sequences end in the finite-dimensional span(supp u)"
@@ -494,7 +464,7 @@ def ruc_unitization(ctx: UnitizationCtx) -> Decision:
     unitization is c00 x R, which is relatively uniformly complete, and that
     case is left undecided here.
     """
-    if isinstance(ctx.space, SparseSeq) and isinstance(ctx.trunc.kind, MeetWithOne):
+    if ctx.space.c00 and isinstance(ctx.trunc.kind, MeetWithOne):
         return Decision(
             False,
             "the harmonic prefixes are 1-uniformly Cauchy, and no eventually constant sequence is their limit",
@@ -598,7 +568,7 @@ def project_band_unitized(
     ``(e + lam*u) + lam*(1 - u)``, and the band acts coordinatewise on the
     first summand and by the complement flag on the second.
     """
-    if not ctx.trunc.unital or not isinstance(ctx.space, FinitePointwise):
+    if not ctx.trunc.unital or not ctx.space.coordinate_bands:
         raise PreconditionViolated("band projection needs a unital finite pointwise base")
     u = ctx.trunc.unit
     base_part = x.e + scale(x.lam, u)
@@ -610,7 +580,7 @@ def project_band_unitized(
 
 def in_unitized_band(ctx: UnitizationCtx, b: UnitizedBand, z: UnitizedElement) -> bool:
     """Structural membership: base component supported in the band's coordinates."""
-    if not ctx.trunc.unital or not isinstance(ctx.space, FinitePointwise):
+    if not ctx.trunc.unital or not ctx.space.coordinate_bands:
         raise PreconditionViolated("band membership needs a unital finite pointwise base")
     u = ctx.trunc.unit
     base_part = z.e + scale(z.lam, u)
@@ -860,11 +830,8 @@ def _law_thm11_density(ctx: UnitizationCtx, gen: SampleGen, n: int) -> LawReport
         candidates = []
         if a.lam == 0:
             candidates.append(a.e)
-        elif isinstance(ctx.space, SparseSeq):
-            fresh = max(support(a.e), default=0) + 1
-            candidates.append(sparse({fresh: a.lam}))
-        elif isinstance(ctx.space, IdentityLine):
-            candidates.append(line(1))
+        elif ctx.space.fresh_atom is not None:
+            candidates.append(ctx.space.fresh_atom(a.lam, a.e))
         candidates.extend(meet(gen.positive(), abs(a.e)) for _ in range(2))
         witness = None
         for x in candidates:
@@ -989,10 +956,6 @@ def _law_band_project(ctx: UnitizationCtx, gen: SampleGen, n: int) -> LawReport:
     return LawReport.passed("band.project", n, gen.seed)
 
 
-def _is_fp(ctx: UnitizationCtx) -> bool:
-    return isinstance(ctx.space, FinitePointwise)
-
-
 def _thm33_applies(ctx: UnitizationCtx) -> bool:
     return not ctx.trunc.unital and unitization_archimedean(ctx).holds is True
 
@@ -1008,8 +971,8 @@ _DSL_PROP22 = (
 REGISTRY: tuple[Law, ...] = (
     Law("archimedean.space", _law_arch_space),
     Law("archimedean.unitization", _law_arch_unitization),
-    Law("band.component", _law_band_component, applies=_is_fp, divisor=2),
-    Law("band.project", _law_band_project, applies=lambda c: _is_fp(c) and c.trunc.unital, divisor=2),
+    Law("band.component", _law_band_component, applies=lambda c: c.space.coordinate_bands, divisor=2),
+    Law("band.project", _law_band_project, applies=lambda c: c.space.coordinate_bands and c.trunc.unital, divisor=2),
     Law("chain.decompose", _law_chain_decompose, divisor=5),
     Law("chain.sup_additivity", _law_chain_sup, divisor=5),
     Law("lemma23.self", _law_lemma23_self, divisor=10),

@@ -16,9 +16,10 @@ draws and :meth:`SampleGen.rational`.  A rational is read from a table of
 every ``Fraction(num, den)`` it can return, built once at import.
 
 An element is drawn the same way, a whole payload in one local loop over
-``getrandbits`` (:func:`_dense_values`, :func:`_sparse_payload`), with the
-calls and values of one ``rational`` per value, read from a second table that
-holds the same values as the reduced int pairs of the element layout.  A
+``getrandbits`` (:func:`_dense_values`, :func:`_sparse_payload`, as the
+space's ``sampler`` layout picks), with the calls and values of one
+``rational`` per value, read from a second table that holds the same values
+as the reduced int pairs of the element layout.  A
 sparse support replays ``Random.sample(range(1, MAX_INDEX + 1), k)`` after
 ``k = randint(0, MAX_SUPPORT)``: for a population of at most 21 and
 ``k <= 5``, ``sample`` takes its pool path, which picks ``pool[j]`` with
@@ -36,11 +37,7 @@ from math import gcd
 
 from .spaces import (
     Element,
-    FinitePointwise,
-    IdentityLine,
-    LexPlane,
     Space,
-    SparseSeq,
     _ZERO,
     _from_pairs,
     add,
@@ -155,6 +152,15 @@ def _sparse_payload(bits, nonneg: bool) -> tuple:
     return tuple(out)
 
 
+# the payload draw ``(bits, space, nonneg)`` for each sampler layout a space names
+_PAYLOADS = {
+    "dense": lambda bits, space, nonneg: _dense_values(bits, space.dim, nonneg),
+    "sparse": lambda bits, space, nonneg: _sparse_payload(bits, nonneg),
+    "lex": lambda bits, space, nonneg: _dense_values(bits, 2, nonneg),
+    "scalar": lambda bits, space, nonneg: _dense_values(bits, 1, nonneg)[0],
+}
+
+
 class SampleGen:
     """A seeded stream of elements of one space."""
 
@@ -162,6 +168,8 @@ class SampleGen:
         self.seed = int(seed) & _MASK64
         self.space = space
         self._rng = random.Random(self.seed)
+        self._payload = _PAYLOADS[space.sampler]
+        self._lex = space.sampler == "lex"
 
     def randint(self, lo: int, hi: int) -> int:
         """``Random.randint(lo, hi)``, drawn with the same ``getrandbits`` calls."""
@@ -178,22 +186,13 @@ class SampleGen:
         return _FRACTIONS[_rational_index(self._rng.getrandbits, nonneg, nonzero)]
 
     def _draw(self, nonneg: bool) -> Element:
-        bits = self._rng.getrandbits
-        match self.space:
-            case FinitePointwise(dim):
-                return _from_pairs(self.space, _dense_values(bits, dim, nonneg))
-            case SparseSeq():
-                return _from_pairs(self.space, _sparse_payload(bits, nonneg))
-            case LexPlane():
-                return _from_pairs(self.space, _dense_values(bits, 2, nonneg))
-            case IdentityLine():
-                return _from_pairs(self.space, _dense_values(bits, 1, nonneg)[0])
+        return _from_pairs(self.space, self._payload(self._rng.getrandbits, self.space, nonneg))
 
     def element(self) -> Element:
         return self._draw(nonneg=False)
 
     def positive(self) -> Element:
-        if isinstance(self.space, LexPlane):
+        if self._lex:
             # any pair with positive first coordinate is positive; mix in
             # second-axis-only positives, which the lex order treats specially
             bits = self._rng.getrandbits

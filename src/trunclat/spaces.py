@@ -10,6 +10,19 @@ Four concrete spaces are supported:
   joins and meets are computed by comparison, never componentwise;
 * ``IdentityLine``: a single rational axis.
 
+Each space class is the one record of what other modules know of it, in
+class attributes, so none of them tests a space's class: ``name`` (the wire
+name; ``SPACE_CLASSES`` maps names to classes in catalog order),
+``catalog_trunc`` (the cataloged truncation's wire descriptor) and
+``trunc_kind`` (its kind, the one kind besides ``meet_with_unit`` the space
+admits, read without building a unit), ``sampler`` (the layout the sampler
+draws), ``coordinate_bands`` (whether the band laws run),
+``fresh_atom(value, *avoid)`` (a positive atom of height ``value``, on the
+sequences past the supports in ``avoid``), and the decided facts ``points``
+(the point set of the R^S it is), ``non_archimedean`` (a pair ``(x, y)``
+with ``0 <= n*x <= y`` for every n) and ``c00`` (read as real c00).  A fact
+that does not apply is ``None`` or ``False``; elements are built on read.
+
 Elements are immutable values and every operation is pure and exact.
 The sign decomposition follows the lattice convention: ``pos(a) = a v 0`` and
 ``neg(a) = (-a) v 0`` are both positive, with ``a = pos(a) - neg(a)``.
@@ -83,29 +96,76 @@ class FinitePointwise:
 
     dim: int
 
+    name = "finite_pointwise"
+    sampler = "dense"
+    trunc_kind = "meet_with_unit"
+    coordinate_bands = True
+    points = "finitely many points"
+    fresh_atom = non_archimedean = None
+    c00 = False
+
     def __post_init__(self) -> None:
         # a dimension past sys.maxsize cannot index a tuple: refuse it here, not deep in an op;
         # a bool is an int to isinstance, but `true` is no dimension
         if type(self.dim) is bool or not isinstance(self.dim, int) or not 1 <= self.dim <= sys.maxsize:
             raise ValueError(f"dimension must be an integer in 1..{sys.maxsize}, got {self.dim!r}")
 
+    @property
+    def catalog_trunc(self) -> dict:
+        return {"kind": self.trunc_kind, "unit": ["1"] * self.dim}
+
 
 @dataclass(frozen=True)
 class SparseSeq:
     """Finitely supported rational sequences indexed by 1, 2, ..., componentwise order."""
+
+    name = "sparse_seq"
+    sampler = "sparse"
+    trunc_kind = "meet_with_one"
+    catalog_trunc = {"kind": trunc_kind}
+    coordinate_bands = False
+    points = non_archimedean = None
+    c00 = True
+
+    def fresh_atom(self, value, *avoid: Element) -> Element:
+        # a sparse layout is sorted, so its last index is the largest
+        return sparse({max((a._v[-1][0] for a in avoid if a._v), default=0) + 1: value})
 
 
 @dataclass(frozen=True)
 class LexPlane:
     """Rational pairs under the lexicographic (total) order."""
 
+    name = "lex_plane"
+    sampler = "lex"
+    trunc_kind = "lex_meet_zero_one"
+    catalog_trunc = {"kind": trunc_kind}
+    coordinate_bands = c00 = False
+    points = fresh_atom = None
+
+    @property
+    def non_archimedean(self) -> tuple[Element, Element]:
+        return lexpair(0, 1), lexpair(1, 0)
+
 
 @dataclass(frozen=True)
 class IdentityLine:
     """A single rational axis."""
 
+    name = "identity_line"
+    sampler = "scalar"
+    trunc_kind = "identity"
+    catalog_trunc = {"kind": trunc_kind}
+    coordinate_bands = c00 = False
+    points = "one point"
+    non_archimedean = None
+
+    def fresh_atom(self, value, *avoid: Element) -> Element:
+        return line(value)
+
 
 Space = FinitePointwise | SparseSeq | LexPlane | IdentityLine
+SPACE_CLASSES: dict[str, type] = {cls.name: cls for cls in (SparseSeq, LexPlane, IdentityLine, FinitePointwise)}
 
 
 _coerce = coerce_rational
@@ -743,33 +803,41 @@ def check_chain_sup_additivity(
 # ---------------------------------------------------------------------------
 
 def space_to_json(space: Space) -> dict:
-    match space:
-        case FinitePointwise(dim):
-            return {"space": "finite_pointwise", "dim": dim}
-        case SparseSeq():
-            return {"space": "sparse_seq"}
-        case LexPlane():
-            return {"space": "lex_plane"}
-        case IdentityLine():
-            return {"space": "identity_line"}
+    # the wire name and a key for each dataclass field, in order: finite_pointwise's dim
+    return {"space": space.name, **{key: getattr(space, key) for key in space.__match_args__}}
+
+
+def _space_class(name) -> type:
+    cls = SPACE_CLASSES.get(name) if isinstance(name, str) else None
+    if cls is None:
+        raise DescriptorError(f"unknown space name {name!r}")
+    return cls
 
 
 def space_from_json(obj) -> Space:
     if not isinstance(obj, Mapping) or "space" not in obj:
         raise DescriptorError(f"space descriptor must be an object with a 'space' key: {obj!r}")
-    name = obj["space"]
-    if name == "finite_pointwise":
-        try:
-            return FinitePointwise(obj.get("dim"))
-        except ValueError as exc:
-            raise DescriptorError(f"finite_pointwise 'dim': {exc}") from exc
-    if name == "sparse_seq":
-        return SparseSeq()
-    if name == "lex_plane":
-        return LexPlane()
-    if name == "identity_line":
-        return IdentityLine()
-    raise DescriptorError(f"unknown space name {name!r}")
+    cls = _space_class(obj["space"])
+    keys = cls.__match_args__
+    for key in obj:
+        if key != "space" and key not in keys:
+            raise DescriptorError(f"{cls.name} takes no key {key!r}")
+    try:
+        return cls(*(obj.get(key) for key in keys))
+    except ValueError as exc:
+        raise DescriptorError(f"{cls.name}: {exc}") from exc
+
+
+def space_from_text(text: str) -> Space:
+    """``name``, or ``name:N`` for the one space with a field: ``finite_pointwise:N`` (3 without ``:N``)."""
+    name, _, arg = text.partition(":")
+    keys = _space_class(name).__match_args__
+    if arg and not keys:
+        raise DescriptorError(f"{name} takes no argument, got {arg!r}")
+    try:
+        return space_from_json({"space": name, **{key: int(arg or 3) for key in keys}})
+    except ValueError as exc:
+        raise DescriptorError(f"{name}: {exc}") from exc
 
 
 def _wire(v) -> str:

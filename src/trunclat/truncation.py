@@ -41,10 +41,7 @@ from .rational import coerce_rational
 from .report import LawReport
 from .spaces import (
     Element,
-    IdentityLine,
-    LexPlane,
     Space,
-    SparseSeq,
     _meet_one,
     _scalars,
     _shifted_pos_one,
@@ -55,7 +52,6 @@ from .spaces import (
     join,
     leq,
     lexpair,
-    line,
     meet,
     neg,
     pos,
@@ -156,7 +152,7 @@ class TruncationSpec:
 
 
 def truncation(space: Space, kind: TruncationKind) -> TruncationSpec:
-    """Validated constructor: each kind is only available on its home space."""
+    """Validated constructor: a unit's meet or a fixture on any space, another kind only where it is cataloged."""
     match kind:
         case MeetWithUnit(unit=u):
             if u.space != space:
@@ -164,11 +160,11 @@ def truncation(space: Space, kind: TruncationKind) -> TruncationSpec:
             if not is_positive(u):
                 raise ValueError("truncation unit must be >= 0")
         case MeetWithOne():
-            if not isinstance(space, SparseSeq):
-                raise ValueError("meet_with_one is only defined on SparseSeq")
+            if space.trunc_kind != "meet_with_one":
+                raise ValueError(f"meet_with_one is not defined on {space.name}")
         case IdentityTruncation():
-            if not isinstance(space, IdentityLine):
-                raise ValueError("the identity truncation is only cataloged on IdentityLine")
+            if space.trunc_kind != "identity":
+                raise ValueError(f"identity is not defined on {space.name}")
         case FixtureTruncation():
             pass
         case _:
@@ -321,20 +317,21 @@ def check_tau3(t: TruncationSpec, samples: Sequence[Element], bound: int = 100) 
     positive = [a for a in samples if a != z]
     match t.kind:
         case IdentityTruncation():
-            witness = positive[0] if positive else line(1)
+            witness = positive[0] if positive else t.space.fresh_atom(1)
             return Decision(
                 False, "every positive element is fixed together with all its multiples", (witness,)
             )
         case MeetWithOne():
             return Decision(True, "n*x <= 1 componentwise for every n forces each coordinate to 0")
         case MeetWithUnit(unit=u):
-            if isinstance(t.space, LexPlane):
+            pair = t.space.non_archimedean  # on the lex plane, (0,1) and (1,0)
+            if pair is not None:
                 u0, u1 = _scalars(u)
                 if u0 > 0:
                     return Decision(
                         False,
                         "n*(0,1) <= u holds for every n because the unit's first coordinate is positive",
-                        (lexpair(0, 1),),
+                        pair[:1],
                     )
                 return Decision(
                     True, f"n*x <= ({u0},{u1}) for every n forces the first coordinate to 0, then the second"
@@ -500,8 +497,8 @@ def truncation_from_json(space: Space, obj) -> TruncationSpec:
         if kind == "meet_with_one":
             return truncation(space, MeetWithOne())
         if kind == "lex_meet_zero_one":
-            if not isinstance(space, LexPlane):
-                raise ValueError("lex_meet_zero_one is only defined on LexPlane")
+            if space.trunc_kind != kind:
+                raise ValueError(f"{kind} is not defined on {space.name}")
             return truncation(space, MeetWithUnit(lexpair(0, 1)))
         if kind == "identity":
             return truncation(space, IdentityTruncation())

@@ -42,16 +42,11 @@ from .errors import DescriptorError, NegativeInput, SpaceMismatch
 from .rational import Rational, coerce_rational, format_rational, parse_rational
 from .spaces import (
     Element,
-    IdentityLine,
     Space,
-    SparseSeq,
     element_from_json,
     element_to_json,
-    line,
     pos,
     scale,
-    sparse,
-    support,
     zero,
 )
 from .truncation import TruncationSpec, in_fixed_set, pos_base
@@ -302,11 +297,8 @@ def _separator_candidates(ctx, z: UnitizedElement, e_samples):
     """Base elements likely to meet ``|z|`` nontrivially, tried in order."""
     if z.e != zero(ctx.space):
         yield abs(z.e)
-    if isinstance(ctx.space, SparseSeq):
-        fresh = max(support(z.e), default=0) + 1
-        yield sparse({fresh: 1})
-    elif isinstance(ctx.space, IdentityLine):
-        yield line(1)
+    if ctx.space.fresh_atom is not None:
+        yield ctx.space.fresh_atom(1, z.e)
     for x in e_samples:
         a = abs(x)
         if a != zero(ctx.space):

@@ -1,12 +1,17 @@
-"""The payload layout of each space is read in one place.
+"""The payload layout of each space is read in one place, and each space is defined in one place.
 
 In ``spaces.py`` only the payload walkers (``_map``, ``_zip``, ``_values``),
-``zero`` and the wire-format functions may dispatch on ``FinitePointwise`` or
-``IdentityLine``, by a ``case`` pattern or an ``isinstance`` call; every other
-function reaches the dense and scalar layouts through a walker.  No other
-module reads an element's layout (``.payload``, or the reduced pairs in
-``._v``): it reaches values through ``spaces`` primitives.  In
-``sampling.py`` one ``match`` on the space draws every element.  No module
+``zero`` and the element wire-format functions may dispatch on
+``FinitePointwise`` or ``IdentityLine``, by a ``case`` pattern or an
+``isinstance`` call; every other function reaches the dense and scalar
+layouts through a walker.  No other module tests a space's class at all
+(an ``isinstance`` or ``issubclass`` call, a ``type(...)`` comparison or a
+``case`` pattern naming one of the four), with no exception: each class is
+the record of its own facts (wire name, cataloged truncation, sampler
+layout, bands, fresh atom, decided facts), and the other modules read those.
+No other module reads an element's layout (``.payload``, or the reduced
+pairs in ``._v``): it reaches values through ``spaces`` primitives.
+``sampling.py`` has at most one ``match`` on the space.  No module
 reads the private internals of ``Fraction`` (``_numerator``,
 ``_denominator``, ``_normalize``, ``_from_coprime_ints``): they belong to one
 CPython version, and ``_normalize`` is gone in 3.12.  ``cli.py`` imports no
@@ -26,12 +31,12 @@ LAYOUT_READERS = frozenset({
     "_zip",
     "_values",
     "zero",
-    "space_to_json",
-    "space_from_json",
     "element_to_json",
     "element_from_json",
 })
 
+
+SPACE_CLASS_NAMES = frozenset({"FinitePointwise", "SparseSeq", "LexPlane", "IdentityLine"})
 
 LAYOUT_ATTRS = frozenset({"payload", "_v"})
 
@@ -81,6 +86,31 @@ def layout_dispatch(tree: ast.AST) -> list[str]:
             if named & LAYOUT_NAMES:
                 found.append(f"{fn.name}:{node.lineno}")
     return found
+
+
+def _referenced(node: ast.AST) -> set[str]:
+    """The names ``node`` refers to, bare or as an attribute (``spaces.SparseSeq``)."""
+    return _names(node) | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
+def space_class_tests(tree: ast.AST) -> list[str]:
+    """``name:line`` for each class test that names a space class: an ``isinstance``
+    or ``issubclass`` call, a comparison with ``type(...)``, or a ``case`` pattern."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.MatchClass):
+            named = _referenced(node.cls)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("isinstance", "issubclass"):
+            named = set().union(*(_referenced(arg) for arg in node.args[1:]))
+        elif isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            if not any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "type" for n in sides):
+                continue
+            named = set().union(*(_referenced(n) for n in sides))
+        else:
+            continue
+        found.update((node.lineno, name) for name in named & SPACE_CLASS_NAMES)
+    return [f"{name}:{line}" for line, name in sorted(found)]
 
 
 def space_matches(tree: ast.AST) -> list[int]:
@@ -179,6 +209,30 @@ def test_detects_layout_reads():
 def test_only_the_walkers_read_dense_and_scalar_layouts():
     found = layout_dispatch(_parse("spaces.py"))
     assert not found, f"spaces.py dispatches on a payload layout outside the walkers: {', '.join(found)}"
+
+
+def test_no_module_but_spaces_tests_a_space_class():
+    modules = sorted(name for name in os.listdir(SRC) if name.endswith(".py") and name != "spaces.py")
+    assert {"cli.py", "engine.py", "sampling.py", "truncation.py", "unitization.py"} <= set(modules)
+    found = [f"{module}:{hit}" for module in modules for hit in space_class_tests(_parse(module))]
+    assert not found, f"a space class is tested outside spaces.py at {', '.join(found)}"
+
+
+def test_detects_space_class_tests():
+    tree = ast.parse(
+        "def f(ctx, space):\n"
+        "    if isinstance(ctx.space, (SparseSeq, spaces.LexPlane)):\n"
+        "        return SparseSeq()\n"
+        "    match space:\n"
+        "        case FinitePointwise(dim=d): return d\n"
+        "        case Element(): pass\n"
+        "    if type(space) is IdentityLine or issubclass(type(space), SparseSeq):\n"
+        "        return space.c00 and isinstance(space, int) and type(space) is int\n"
+        "    return LexPlane == space\n"
+    )
+    assert space_class_tests(tree) == [
+        "LexPlane:2", "SparseSeq:2", "FinitePointwise:5", "IdentityLine:7", "SparseSeq:7"
+    ]
 
 
 def test_sampling_draws_through_one_match():
