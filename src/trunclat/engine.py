@@ -104,7 +104,7 @@ def cataloged_truncation(space: Space) -> TruncationSpec:
 
 
 def catalog(fp_dim: int = 3) -> dict[str, UnitizationCtx]:
-    """The four cataloged (space, truncation) pairs; ``fp_dim`` fills the one space field, a dimension."""
+    """The four cataloged (space, truncation) pairs, ``finite_pointwise`` at dimension ``fp_dim``."""
     spaces = {name: cls(fp_dim) if cls.__match_args__ else cls() for name, cls in SPACE_CLASSES.items()}
     return {name: UnitizationCtx(space, cataloged_truncation(space)) for name, space in spaces.items()}
 
