@@ -16,10 +16,13 @@ draws and :meth:`SampleGen.rational`.  A rational is read from a table of
 every ``Fraction(num, den)`` it can return, built once at import.
 
 An element is drawn the same way, a whole payload in one local loop over
-``getrandbits`` (:func:`_dense_values`, :func:`_sparse_payload`, as the
-space's ``sampler`` layout picks), with the calls and values of one
-``rational`` per value, read from a second table that holds the same values
-as the reduced int pairs of the element layout.  A
+``getrandbits``, with the calls and values of one ``rational`` per value,
+read from a second table that holds the same values as the reduced int pairs
+of the element layout.  The space's ``sampler`` picks the loop: ``dense``
+and ``lex`` draw ``space.dim`` values with :func:`_dense_values` (the line is
+the dense layout at ``dim`` 1), ``sparse`` draws with
+:func:`_sparse_payload`, and ``lex`` also draws its positives apart, since
+the lex order is not componentwise.  A
 sparse support replays ``Random.sample(range(1, MAX_INDEX + 1), k)`` after
 ``k = randint(0, MAX_SUPPORT)``: for a population of at most 21 and
 ``k <= 5``, ``sample`` takes its pool path, which picks ``pool[j]`` with
@@ -156,9 +159,8 @@ def _sparse_payload(bits, nonneg: bool) -> tuple:
 _PAYLOADS = {
     "dense": lambda bits, space, nonneg: _dense_values(bits, space.dim, nonneg),
     "sparse": lambda bits, space, nonneg: _sparse_payload(bits, nonneg),
-    "lex": lambda bits, space, nonneg: _dense_values(bits, 2, nonneg),
-    "scalar": lambda bits, space, nonneg: _dense_values(bits, 1, nonneg)[0],
 }
+_PAYLOADS["lex"] = _PAYLOADS["dense"]  # only the lex plane's positives are drawn apart
 
 
 class SampleGen:

@@ -8,11 +8,13 @@ Four concrete spaces are supported:
   equality is semantic equality);
 * ``LexPlane``: rational pairs under the lexicographic order, which is total:
   joins and meets are computed by comparison, never componentwise;
-* ``IdentityLine``: a single rational axis.
+* ``IdentityLine``: a single rational axis, R^n at n = 1.
 
 Each space class is the one record of what other modules know of it, in
 class attributes, so none of them tests a space's class: ``name`` (the wire
-name; ``SPACE_CLASSES`` maps names to classes in catalog order),
+name; ``SPACE_CLASSES`` maps names to classes in catalog order), ``dim``
+(the number of values a dense element holds: a field of ``FinitePointwise``,
+2 on ``LexPlane``, 1 on ``IdentityLine``, none on ``SparseSeq``),
 ``catalog_trunc`` (the cataloged truncation's wire descriptor) and
 ``trunc_kind`` (its kind, the one kind besides ``meet_with_unit`` the space
 admits, read without building a unit), ``sampler`` (the layout the sampler
@@ -26,6 +28,13 @@ that does not apply is ``None`` or ``False``; elements are built on read.
 Elements are immutable values and every operation is pure and exact.
 The sign decomposition follows the lattice convention: ``pos(a) = a v 0`` and
 ``neg(a) = (-a) v 0`` are both positive, with ``a = pos(a) - neg(a)``.
+
+Two layouts hold the values: the dense one, a tuple of ``dim`` values, for
+every space but ``SparseSeq``, and the sparse one, a tuple of
+``(index, value)`` pairs.  The line is stored as ``FinitePointwise(1)`` is,
+but its public payload is its one value (``Element(IdentityLine(), v)``,
+``payload`` and the wire form ``p/q``): ``Element`` and the wire functions
+are the only code that converts it to and from the 1-tuple.
 
 ``Fraction`` in and out, reduced integer pairs inside.  An element keeps each
 value as a pair ``(n, d)`` of ints with ``d > 0`` and ``gcd(n, d) = 1`` (each
@@ -42,10 +51,10 @@ ints.  ``pos``, ``neg`` and ``abs`` are computed value by value in one pass
 copy or join built on the way; sparse results drop the zeros.
 
 Apart from ``zero`` and the wire format, three private walkers are the only
-code that reads the layout of each space (see ``Element``): ``_map`` applies
-a function value by value, ``_zip`` combines two elements value by value
-(``map`` over dense tuples, an ordered merge of sparse payloads, one call on
-the line) and ``_values`` iterates the values of any element.  ``add``,
+code that tells the two layouts apart (see ``Element``): ``_map`` applies a
+function value by value, ``_zip`` combines two elements value by value
+(``map`` over dense tuples, an ordered merge of sparse payloads) and
+``_values`` iterates the values of any element.  ``add``,
 ``sub``, ``scale``, negation, the componentwise arms of the order operations
 and the conversion to and from ``Fraction``s go through them.  Three things
 keep their own arm: the lex order (``_lex_leq``, ``_lex_sign``), which is
@@ -71,7 +80,6 @@ back ``x``'s own value or the module zero where the clip does not bind.
 from __future__ import annotations
 
 import operator
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -84,6 +92,11 @@ from .rational import coerce_rational, parse_rational
 _ZERO = (0, 1)
 _ONE = (1, 1)
 _second = operator.itemgetter(1)
+
+# the widest pointwise dimension: a dense element holds ``dim`` values and the
+# catalog unit alone is ``dim`` strings, so a far wider space exhausts memory
+# before its first law runs; 2**16 is far above any dimension a check finishes on
+MAX_DIM = 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -105,10 +118,10 @@ class FinitePointwise:
     c00 = False
 
     def __post_init__(self) -> None:
-        # a dimension past sys.maxsize cannot index a tuple: refuse it here, not deep in an op;
+        # a dimension past MAX_DIM is refused here, not as a MemoryError deep in an op;
         # a bool is an int to isinstance, but `true` is no dimension
-        if type(self.dim) is bool or not isinstance(self.dim, int) or not 1 <= self.dim <= sys.maxsize:
-            raise ValueError(f"dimension must be an integer in 1..{sys.maxsize}, got {self.dim!r}")
+        if type(self.dim) is bool or not isinstance(self.dim, int) or not 1 <= self.dim <= MAX_DIM:
+            raise ValueError(f"dimension must be an integer in 1..{MAX_DIM}, got {self.dim!r}")
 
     @property
     def catalog_trunc(self) -> dict:
@@ -137,6 +150,7 @@ class LexPlane:
     """Rational pairs under the lexicographic (total) order."""
 
     name = "lex_plane"
+    dim = 2
     sampler = "lex"
     trunc_kind = "lex_meet_zero_one"
     catalog_trunc = {"kind": trunc_kind}
@@ -153,7 +167,8 @@ class IdentityLine:
     """A single rational axis."""
 
     name = "identity_line"
-    sampler = "scalar"
+    dim = 1
+    sampler = "dense"
     trunc_kind = "identity"
     catalog_trunc = {"kind": trunc_kind}
     coordinate_bands = c00 = False
@@ -186,24 +201,25 @@ def _fraction(v: tuple[int, int]) -> Fraction:
 class Element:
     """A space-tagged lattice element.
 
-    The layout depends on the space: a tuple of values for
-    ``FinitePointwise``, a tuple of ``(index, value)`` pairs for ``SparseSeq``,
-    a pair of values for ``LexPlane``, and a single value for
-    ``IdentityLine``.  A ``SparseSeq`` layout keeps its indices sorted and
-    strictly increasing and holds no zero value; the sparse primitives merge
-    layouts in one ordered pass and rely on this.
+    The layout depends on the space: a tuple of ``(index, value)`` pairs for
+    ``SparseSeq``, and a tuple of ``space.dim`` values for every other space.
+    A ``SparseSeq`` layout keeps its indices sorted and strictly increasing
+    and holds no zero value; the sparse primitives merge layouts in one
+    ordered pass and rely on this.
 
     ``Element(space, payload)`` takes the layout with ``Fraction`` (or int)
     values and keeps only the reduced pairs ``(n, d)``.  ``payload`` is that
-    layout with ``Fraction`` values, built on first read and kept.  Use the
-    constructors below rather than instantiating directly.
+    layout with ``Fraction`` values, built on first read and kept.  On
+    ``IdentityLine`` both take and give the one value, not the 1-tuple kept
+    inside.  Use the constructors below rather than instantiating directly.
     """
 
     __slots__ = ("space", "_v", "_payload")
 
     def __init__(self, space: Space, payload) -> None:
         self.space = space
-        self._v = payload  # the walkers read the layout whatever its values are
+        # the walkers read the layout whatever its values are; the line's one value is its 1-tuple
+        self._v = (payload,) if isinstance(space, IdentityLine) else payload
         self._v = _map(self, _pair)._v
 
     @property
@@ -212,7 +228,8 @@ class Element:
         try:
             return self._payload
         except AttributeError:
-            payload = self._payload = _map(self, _fraction)._v
+            payload = _map(self, _fraction)._v
+            payload = self._payload = payload[0] if isinstance(self.space, IdentityLine) else payload
             return payload
 
     def __eq__(self, other) -> bool:
@@ -299,15 +316,7 @@ def line(value) -> Element:
 
 
 def zero(space: Space) -> Element:
-    match space:
-        case FinitePointwise(dim):
-            return _from_pairs(space, (_ZERO,) * dim)
-        case SparseSeq():
-            return _from_pairs(space, ())
-        case LexPlane():
-            return _from_pairs(space, (_ZERO, _ZERO))
-        case IdentityLine():
-            return _from_pairs(space, _ZERO)
+    return _from_pairs(space, () if isinstance(space, SparseSeq) else (_ZERO,) * space.dim)
 
 
 def support(a: Element) -> tuple[int, ...]:
@@ -347,14 +356,9 @@ def _map(a: Element, f) -> Element:
     On a sparse element ``f`` must map nonzero values to nonzero values: the
     result keeps every index of ``a``.
     """
-    p = a._v
-    match a.space:
-        case FinitePointwise() | LexPlane():
-            return _from_pairs(a.space, tuple(map(f, p)))
-        case SparseSeq():
-            return _from_pairs(a.space, tuple((k, f(v)) for k, v in p))
-        case IdentityLine():
-            return _from_pairs(a.space, f(p))
+    if isinstance(a.space, SparseSeq):
+        return _from_pairs(a.space, tuple((k, f(v)) for k, v in a._v))
+    return _from_pairs(a.space, tuple(map(f, a._v)))
 
 
 def _zip(a: Element, b: Element, both, only_a, only_b) -> Element:
@@ -365,25 +369,14 @@ def _zip(a: Element, b: Element, both, only_a, only_b) -> Element:
     space = a.space
     if space is not b.space and space != b.space:  # _same_space, inlined: every binary primitive runs here
         raise SpaceMismatch(f"{space!r} vs {b.space!r}")
-    match space:
-        case FinitePointwise() | LexPlane():
-            return _from_pairs(space, tuple(map(both, a._v, b._v)))
-        case SparseSeq():
-            return _from_pairs(space, _sparse_merge(a._v, b._v, both, only_a, only_b))
-        case IdentityLine():
-            return _from_pairs(space, both(a._v, b._v))
+    if isinstance(space, SparseSeq):
+        return _from_pairs(space, _sparse_merge(a._v, b._v, both, only_a, only_b))
+    return _from_pairs(space, tuple(map(both, a._v, b._v)))
 
 
 def _values(a: Element) -> Iterable[tuple[int, int]]:
     """The values of ``a``, in order (for a sparse element, its nonzero values)."""
-    p = a._v
-    match a.space:
-        case FinitePointwise() | LexPlane():
-            return p
-        case SparseSeq():
-            return map(_second, p)
-        case IdentityLine():
-            return (p,)
+    return map(_second, a._v) if isinstance(a.space, SparseSeq) else a._v
 
 
 def _sparse_merge(pa, pb, both, only_a, only_b) -> tuple:
@@ -847,32 +840,26 @@ def _wire(v) -> str:
 
 def element_to_json(a: Element):
     match a.space:
-        case FinitePointwise() | LexPlane():
-            return [_wire(v) for v in a._v]
         case SparseSeq():
             return {str(k): _wire(v) for k, v in a._v}
-        case IdentityLine():
-            return _wire(a._v)
+        case IdentityLine():  # the line's wire form is its one value, not a list
+            return _wire(a._v[0])
+    return [_wire(v) for v in a._v]
 
 
 def element_from_json(space: Space, obj) -> Element:
     try:
         match space:
-            case FinitePointwise(dim):
-                if not isinstance(obj, list) or len(obj) != dim:
-                    raise DescriptorError(f"expected a list of {dim} rationals, got {obj!r}")
-                return Element(space, tuple(parse_rational(v) for v in obj))
             case SparseSeq():
                 if not isinstance(obj, Mapping):
                     raise DescriptorError(f"expected an index->rational object, got {obj!r}")
                 return sparse({int(k): parse_rational(v) for k, v in obj.items()})
-            case LexPlane():
-                if not isinstance(obj, list) or len(obj) != 2:
-                    raise DescriptorError(f"expected a pair of rationals, got {obj!r}")
-                return Element(space, (parse_rational(obj[0]), parse_rational(obj[1])))
             case IdentityLine():
                 if not isinstance(obj, str):
                     raise DescriptorError(f"expected a 'p/q' string, got {obj!r}")
                 return Element(space, parse_rational(obj))
+        if not isinstance(obj, list) or len(obj) != space.dim:
+            raise DescriptorError(f"expected a list of {space.dim} rationals, got {obj!r}")
+        return Element(space, tuple(parse_rational(v) for v in obj))
     except (ValueError, TypeError) as exc:
         raise DescriptorError(f"bad element payload {obj!r}: {exc}") from exc

@@ -110,9 +110,10 @@ def test_check_malformed_descriptor(capsys):
         assert run_cli("check", "--space", "sparse_seq", "--trunc", trunc) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
-    # an argument or key the space does not take is refused, not dropped
+    # an argument or key the space does not take is refused, not dropped, and so is a dimension
+    # past MAX_DIM, which would otherwise run out of memory building the catalog unit
     for space in ("lex_plane:5", "sparse_seq:x", "identity_line:1", '{"space":"sparse_seq","dim":3}',
-                  '{"space":"finite_pointwise","dim":2,"unit":1}'):
+                  '{"space":"finite_pointwise","dim":2,"unit":1}', "finite_pointwise:1000000000000"):
         capsys.readouterr()
         assert run_cli("check", "--space", space, "--trials", "1") == 2, space
         err = capsys.readouterr().err

@@ -3,7 +3,8 @@
 Descriptors, bindings and expressions are generated well-formed and malformed
 alike.  Exit 2 must come with exactly one ``error:`` line on stderr.  Inputs
 stay small: at most 3 trials, and a finite pointwise dimension is either at
-most 6 or too large to index, so no run allocates a large space.
+most 6 or past ``MAX_DIM`` (some past ``sys.maxsize`` too), so no run
+allocates a large space.
 """
 
 import io
@@ -16,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from trunclat import random_term, render
 from trunclat.cli import main
+from trunclat.spaces import MAX_DIM
 
 NAMES = ("sparse_seq", "lex_plane", "identity_line", "finite_pointwise", "c00")
 KINDS = ("meet_with_one", "lex_meet_zero_one", "identity", "meet_with_unit", "min")
@@ -44,7 +46,7 @@ CONFIGS = (
     ('{"space":"finite_pointwise","dim":5}', "meet_with_unit", fp_payloads(5)),
 )
 
-dims = st.one_of(st.integers(-1, 6), st.integers(sys.maxsize + 1, 10**30))
+dims = st.one_of(st.integers(-1, 6), st.integers(MAX_DIM + 1, sys.maxsize), st.integers(sys.maxsize + 1, 10**30))
 spaces = st.one_of(
     st.none(),
     st.sampled_from(NAMES),

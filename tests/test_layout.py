@@ -1,10 +1,12 @@
 """The payload layout of each space is read in one place, and each space is defined in one place.
 
-In ``spaces.py`` only the payload walkers (``_map``, ``_zip``, ``_values``),
-``zero`` and the element wire-format functions may dispatch on
-``FinitePointwise`` or ``IdentityLine``, by a ``case`` pattern or an
-``isinstance`` call; every other function reaches the dense and scalar
-layouts through a walker.  No other module tests a space's class at all
+Every space but ``SparseSeq`` keeps the dense layout, a tuple of ``dim``
+values, so the walkers tell the two layouts apart by ``SparseSeq`` alone.  In
+``spaces.py`` only the payload boundary (``Element.__init__`` and
+``Element.payload``, where the line's one value becomes its 1-tuple and back)
+and the element wire-format functions may dispatch on ``FinitePointwise`` or
+``IdentityLine``, by a ``case`` pattern or an ``isinstance`` call; every
+other function reaches the dense layout through a walker.  No other module tests a space's class at all
 (an ``isinstance`` or ``issubclass`` call, a ``type(...)`` comparison or a
 ``case`` pattern naming one of the four), with no exception: each class is
 the record of its own facts (wire name, cataloged truncation, sampler
@@ -26,11 +28,10 @@ import os
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "trunclat")
 
 LAYOUT_NAMES = frozenset({"FinitePointwise", "IdentityLine"})
+# qualified names: a method is ``Class.name``
 LAYOUT_READERS = frozenset({
-    "_map",
-    "_zip",
-    "_values",
-    "zero",
+    "Element.__init__",
+    "Element.payload",
     "element_to_json",
     "element_from_json",
 })
@@ -70,11 +71,23 @@ def _names(node: ast.AST) -> set[str]:
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
 
 
+def _functions(node: ast.AST, prefix: str = ""):
+    """``(qualified name, node)`` for each function under ``node``, nested ones included."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = prefix + child.name
+            if not isinstance(child, ast.ClassDef):
+                yield name, child
+            yield from _functions(child, name + ".")
+        else:
+            yield from _functions(child, prefix)
+
+
 def layout_dispatch(tree: ast.AST) -> list[str]:
     """``function:line`` for each layout dispatch outside the functions allowed to read layouts."""
     found = []
-    for fn in ast.walk(tree):
-        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or fn.name in LAYOUT_READERS:
+    for name, fn in _functions(tree):
+        if name in LAYOUT_READERS:
             continue
         for node in ast.walk(fn):
             if isinstance(node, ast.MatchClass):
@@ -84,7 +97,7 @@ def layout_dispatch(tree: ast.AST) -> list[str]:
             else:
                 continue
             if named & LAYOUT_NAMES:
-                found.append(f"{fn.name}:{node.lineno}")
+                found.append(f"{name}:{node.lineno}")
     return found
 
 
@@ -206,7 +219,7 @@ def test_detects_layout_reads():
     assert layout_reads(tree) == ["payload:2", "_v:4"]
 
 
-def test_only_the_walkers_read_dense_and_scalar_layouts():
+def test_only_the_boundary_and_the_wire_read_the_line_layout():
     found = layout_dispatch(_parse("spaces.py"))
     assert not found, f"spaces.py dispatches on a payload layout outside the walkers: {', '.join(found)}"
 
@@ -242,7 +255,7 @@ def test_sampling_draws_through_one_match():
 
 def test_detects_layout_dispatch():
     tree = ast.parse(
-        "def _map(a):\n"
+        "def element_to_json(a):\n"
         "    match a.space:\n"
         "        case FinitePointwise(): pass\n"
         "def add(a):\n"
@@ -252,8 +265,15 @@ def test_detects_layout_dispatch():
         "    return isinstance(a.space, (LexPlane, FinitePointwise))\n"
         "def pos(a):\n"
         "    return isinstance(a.space, LexPlane)\n"
+        "class Element:\n"
+        "    def __init__(self, space):\n"
+        "        self.line = isinstance(space, IdentityLine)\n"
+        "    def __eq__(self, other):\n"
+        "        return isinstance(other.space, IdentityLine)\n"
+        "def __init__(space):\n"
+        "    return isinstance(space, IdentityLine)\n"
     )
-    assert layout_dispatch(tree) == ["add:6", "leq:8"]
+    assert layout_dispatch(tree) == ["add:6", "leq:8", "Element.__eq__:15", "__init__:17"]
     tree = ast.parse(
         "match self.space:\n    case _: pass\n"
         "match space:\n    case _: pass\n"

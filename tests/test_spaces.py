@@ -24,6 +24,7 @@ from trunclat import (
     FinitePointwise,
     IdentityLine,
     LexPlane,
+    MeetWithUnit,
     PreconditionViolated,
     SampleGen,
     SpaceMismatch,
@@ -52,6 +53,7 @@ from trunclat import (
     sub,
     sup_finite,
     truncate,
+    truncation,
     zero,
 )
 from trunclat import spaces
@@ -510,6 +512,30 @@ def test_element_json_examples():
     assert element_to_json(lexpair(0, 1)) == ["0/1", "1/1"]
     assert element_to_json(line(Fraction(-1, 2))) == "-1/2"
     assert element_from_json(SparseSeq(), {"2": "0/1"}) == sparse()
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.fractions(), st.fractions(), st.fractions().filter(bool))
+@example(Fraction(0), Fraction(0), Fraction(-1))
+@example(Fraction(-3, 2), Fraction(1), Fraction(1))
+def test_line_is_the_pointwise_space_of_dimension_one(v, w, c):
+    # the kernel keeps the line in the dense layout of FinitePointwise(1): each primitive gives the same values
+    def results(make):
+        x, y, u = make(v), make(w), make(abs(w))
+        t = truncation(x.space, MeetWithUnit(u))
+        return [
+            add(x, y), sub(x, y), scale(c, x), leq(x, y), join(x, y), meet(x, y), pos(x), neg(x), abs(x),
+            spaces.is_positive(x), spaces.shifted_pos(x, c, u), truncate(t, abs(x)),
+        ]
+
+    on_line, on_fp = results(line), results(fp)
+    assert all(r.space == IdentityLine() for r in on_line if isinstance(r, Element))
+    assert [r.payload if isinstance(r, Element) else r for r in on_line] == [
+        r.payload[0] if isinstance(r, Element) else r for r in on_fp
+    ]
+    assert line(v).payload == v
+    assert element_to_json(line(v)) == element_to_json(fp(v))[0]
+    assert element_from_json(IdentityLine(), element_to_json(line(v))) == line(v)
 
 
 @settings(max_examples=200, derandomize=True)
