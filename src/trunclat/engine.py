@@ -37,6 +37,7 @@ from .spaces import (
     Element,
     FinitePointwise,
     Space,
+    _harmonic,
     _mask,
     _scalars,
     coeff,
@@ -332,8 +333,8 @@ def uniform_cauchy_prefix(
 
 
 def harmonic_prefix(n: int) -> Element:
-    """The eventually-zero sequence with value ``1/k`` at ``k = 1..n``."""
-    return sparse({k: Fraction(1, k) for k in range(1, n + 1)})
+    """The eventually-zero sequence with value ``1/k`` at ``k = 1..n``, built from its reduced pairs."""
+    return _harmonic(n)
 
 
 def eps_start_index(eps: Rational) -> int:

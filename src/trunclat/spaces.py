@@ -66,7 +66,8 @@ The other modules reach values only through this module, which has a
 private arm for each place they need one: the ``meet_with_one`` truncation
 (``_meet_one``, ``_shifted_pos_one``, ``_within_one``, on the sparse layout),
 the band mask (``_mask``, on the dense layout), the values as ``Fraction``s
-(``_scalars``) and the sampler's constructor (``_from_pairs``).
+(``_scalars``), the sampler's constructor (``_from_pairs``) and the harmonic
+prefix of the c00 witnesses (``_harmonic``, built from its reduced pairs).
 
 The linear operations build no pair whose value is known without arithmetic:
 ``add`` and ``sub`` give back the other operand (negated for ``0 - y``) when
@@ -80,8 +81,10 @@ back ``x``'s own value or the module zero where the clip does not bind.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
@@ -91,6 +94,7 @@ from .rational import coerce_rational, parse_rational
 # the value 0 and 1 as reduced pairs, shared by every element
 _ZERO = (0, 1)
 _ONE = (1, 1)
+_first = operator.itemgetter(0)
 _second = operator.itemgetter(1)
 
 # the widest pointwise dimension: a dense element holds ``dim`` values and the
@@ -204,8 +208,9 @@ class Element:
     The layout depends on the space: a tuple of ``(index, value)`` pairs for
     ``SparseSeq``, and a tuple of ``space.dim`` values for every other space.
     A ``SparseSeq`` layout keeps its indices sorted and strictly increasing
-    and holds no zero value; the sparse primitives merge layouts in one
-    ordered pass and rely on this.
+    and holds no zero value; the sparse primitives merge layouts in index
+    order, bisect for the end of a run that ``add`` or ``sub`` copies
+    unchanged, and rely on this.
 
     ``Element(space, payload)`` takes the layout with ``Fraction`` (or int)
     values and keeps only the reduced pairs ``(n, d)``.  ``payload`` is that
@@ -380,13 +385,18 @@ def _values(a: Element) -> Iterable[tuple[int, int]]:
 
 
 def _sparse_merge(pa, pb, both, only_a, only_b) -> tuple:
-    """Combine two sparse layouts in one ordered pass, dropping zero results.
+    """Combine two sparse layouts in index order, dropping zero results.
 
     ``both`` maps the two values at a shared index; ``only_a`` and ``only_b``
     map a value whose index is in one support only (the other side is zero).
+    A side whose map is ``_keep`` has its entries copied by slice: a run of
+    them up to the other side's next index is found by bisection, so a long
+    layout merged with a short one costs Python work in the short one only.
     """
     out = []
     append = out.append
+    extend = out.extend
+    copy_a, copy_b = only_a is _keep, only_b is _keep
     i = j = 0
     na, nb = len(pa), len(pb)
     while i < na and j < nb:
@@ -397,21 +407,31 @@ def _sparse_merge(pa, pb, both, only_a, only_b) -> tuple:
             i += 1
             j += 1
         elif ka < kb:
+            if copy_a:  # a layout holds no zero, so a kept run is copied as it is
+                end = bisect_left(pa, kb, i + 1, na, key=_first)
+                extend(pa[i:end])
+                i = end
+                continue
             k, v = ka, only_a(va)
             i += 1
         else:
+            if copy_b:
+                end = bisect_left(pb, ka, j + 1, nb, key=_first)
+                extend(pb[j:end])
+                j = end
+                continue
             k, v = kb, only_b(vb)
             j += 1
         if v[0]:
             append((k, v))
-    for k, va in pa[i:]:
-        v = only_a(va)
-        if v[0]:
-            append((k, v))
-    for k, vb in pb[j:]:
-        v = only_b(vb)
-        if v[0]:
-            append((k, v))
+    for rest, f in ((pa[i:], only_a), (pb[j:], only_b)):
+        if f is _keep:
+            extend(rest)
+            continue
+        for k, w in rest:
+            v = f(w)
+            if v[0]:
+                append((k, v))
     return tuple(out)
 
 
@@ -705,6 +725,16 @@ def _shifted_pos_one(x: Element, lam: Fraction) -> Element:
     return _from_pairs(x.space, tuple(out))
 
 
+def _harmonic(n: int) -> Element:
+    """The sparse element with value ``1/k`` at ``k = 1..n``, built as its layout.
+
+    ``(1, k)`` is already a reduced pair, so no value is coerced, checked or
+    sorted on the way.
+    """
+    ks = range(1, n + 1)
+    return _from_pairs(SparseSeq(), tuple(zip(ks, zip(repeat(1), ks))))
+
+
 def _within_one(x: Element) -> bool:
     """Whether ``|v| <= 1`` at each value of ``x``."""
     return all(abs(n) <= d for n, d in _values(x))
@@ -838,6 +868,15 @@ def _wire(v) -> str:
     return f"{v[0]}/{v[1]}"
 
 
+def _wire_index(key) -> int:
+    """A sparse index from its wire key, written only as ``element_to_json`` writes it."""
+    # int() also reads "01", "+1", " 2" and "1_0": such a key could silently overwrite another index
+    index = int(key) if isinstance(key, str) else 0
+    if index < 1 or str(index) != key:
+        raise DescriptorError(f"sparse index keys must be integers >= 1 in decimal form, got {key!r}")
+    return index
+
+
 def element_to_json(a: Element):
     match a.space:
         case SparseSeq():
@@ -853,7 +892,7 @@ def element_from_json(space: Space, obj) -> Element:
             case SparseSeq():
                 if not isinstance(obj, Mapping):
                     raise DescriptorError(f"expected an index->rational object, got {obj!r}")
-                return sparse({int(k): parse_rational(v) for k, v in obj.items()})
+                return sparse({_wire_index(k): parse_rational(v) for k, v in obj.items()})
             case IdentityLine():
                 if not isinstance(obj, str):
                     raise DescriptorError(f"expected a 'p/q' string, got {obj!r}")

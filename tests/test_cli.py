@@ -42,6 +42,8 @@ def test_eval_bad_binding(capsys):
         ["eval", "x", "--bind", 'x={"1":1}'],
         ["eval", "x", "--bind", 'x={"1":"1/0"}'],
         ["eval", "2/0 * x", "--bind", 'x={"1":"1/1"}'],
+        # int() reads the key "01", but element_to_json writes only str(k): it would overwrite index 1
+        ["eval", "x", "--bind", 'x={"1":"1/2","01":"3"}'],
     ],
 )
 def test_eval_malformed_rational_exits_two(argv, capsys):

@@ -282,6 +282,12 @@ def test_eps_start_index():
     assert eps_start_index(Fraction(2, 3)) == 2
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 250])
+def test_harmonic_prefix_is_the_sparse_sequence_of_reciprocals(n):
+    # built from its reduced pairs, it is the element sparse() builds from the Fractions
+    assert harmonic_prefix(n) == sparse({k: Fraction(1, k) for k in range(1, n + 1)})
+
+
 def test_uniform_cauchy_prefix_examples():
     def seq(n):
         return SPARSE.embed(harmonic_prefix(n))

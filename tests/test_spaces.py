@@ -19,6 +19,7 @@ from oracles import (
     ref_sub,
 )
 from trunclat import (
+    DescriptorError,
     Element,
     EmptySet,
     FinitePointwise,
@@ -36,6 +37,7 @@ from trunclat import (
     element_from_json,
     element_to_json,
     fp,
+    harmonic_prefix,
     is_positive,
     join,
     leq,
@@ -184,13 +186,20 @@ def test_kernel_builds_no_fraction(monkeypatch):
         out += [ctx.trunc.in_fixed(x) for x in xs]
         return out
 
-    expected = [outputs(*case) for case in cases]
+    # a long sparse sequence, and the runs of it that a sum or difference with a short one copies
+    long = harmonic_prefix(200)
+    short = sparse({3: Fraction(1, 3), 50: 1, 150: Fraction(-1, 7), 205: 2})
+
+    def long_outputs():
+        return [harmonic_prefix(200), add(long, short), add(short, long), sub(long, short), sub(short, long)]
+
+    expected = [outputs(*case) for case in cases] + [long_outputs()]
 
     def refuse(cls, *args, **kwargs):
         raise AssertionError("a Fraction was built inside the kernel")
 
     monkeypatch.setattr(Fraction, "__new__", refuse)
-    assert [outputs(*case) for case in cases] == expected
+    assert [outputs(*case) for case in cases] + [long_outputs()] == expected
 
 
 # -- sampled lattice laws ----------------------------------------------------
@@ -274,7 +283,7 @@ _entries = st.dictionaries(st.integers(min_value=1, max_value=12), _values, max_
 def sparse_pairs(draw):
     """Two sparse elements, steered into the cases a merge can get wrong."""
     a, b = draw(_entries), draw(_entries)
-    shape = draw(st.sampled_from(("overlap", "equal", "disjoint", "empty")))
+    shape = draw(st.sampled_from(("overlap", "equal", "disjoint", "empty", "long")))
     if shape == "overlap":  # shared indices with equal values cancel in a - b
         shared = draw(_entries)
         a, b = {**a, **shared}, {**b, **shared}
@@ -283,6 +292,15 @@ def sparse_pairs(draw):
     elif shape == "disjoint":  # interleaved supports, no index in common
         a = {2 * k: v for k, v in a.items()}
         b = {2 * k - 1: v for k, v in b.items()}
+    elif shape == "long":  # 50-300 indices against a short support, either side: the merge copies runs
+        n, step = draw(st.integers(min_value=50, max_value=300)), draw(st.integers(min_value=1, max_value=3))
+        cycle = draw(st.lists(_values, min_size=1, max_size=5))
+        a = {k: cycle[k % len(cycle)] for k in range(1, n * step + 1, step)}
+        b = draw(st.dictionaries(st.integers(min_value=1, max_value=n * step + 5), _values, max_size=6))
+        if draw(st.booleans()):  # equal values at the shared indices cancel in a - b
+            b = {k: a.get(k, v) for k, v in b.items()}
+        if draw(st.booleans()):
+            a, b = b, a
     else:
         a, b = draw(st.sampled_from(((a, {}), ({}, b), ({}, {}))))
     return sparse(a), sparse(b)
@@ -512,6 +530,11 @@ def test_element_json_examples():
     assert element_to_json(lexpair(0, 1)) == ["0/1", "1/1"]
     assert element_to_json(line(Fraction(-1, 2))) == "-1/2"
     assert element_from_json(SparseSeq(), {"2": "0/1"}) == sparse()
+    assert element_from_json(SparseSeq(), {"10": "1/2", "1": "3"}) == sparse({1: 3, 10: Fraction(1, 2)})
+    # only the key element_to_json writes: int() reads most of these, and "01" would land on index 1
+    for key in ("01", "+1", " 2", "2 ", "1_0", "0", "-1", "x", 1):
+        with pytest.raises(DescriptorError):
+            element_from_json(SparseSeq(), {"1": "1/2", key: "3"})
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
